@@ -92,11 +92,11 @@ def _edge_set_sums(key: np.ndarray) -> Tuple[int, int]:
     """Two order-invariant 64-bit reductions of a duplicate-free
     edge-key set: the wrapping sum and the xor of the per-key splitmix64
     hashes (AdHash-style multiset hashing).  Both reductions commute, so
-    no sort is needed -- the O(m log m) ``np.unique`` that dominated the
-    digest cost for large sparse graphs is gone from every path that can
-    prove its keys are already duplicate-free.  One mixing pass feeds
-    both lanes; a set difference must escape a 128-bit constraint to
-    collide, ample for a result cache that also offers
+    no sort is needed -- the O(m log m) canonicalising sort-and-dedup of
+    :func:`~repro.hirschberg.edgelist._canonical_pairs` is skipped on
+    every path that can prove its keys are already duplicate-free.  One
+    mixing pass feeds both lanes; a set difference must escape a 128-bit
+    constraint to collide, ample for a result cache that also offers
     verify-on-first-hit for the paranoid."""
     x = np.ascontiguousarray(key)
     if x.dtype != np.uint64:
@@ -122,8 +122,8 @@ def _constructor_canonical_keys(graph: "EdgeListGraph") -> "np.ndarray | None":
     Constructor-built graphs carry a ``_canonical`` stamp and are
     trusted outright (the stamp travels only through the constructors).
     Unstamped graphs are verified with a handful of O(m) vector
-    comparisons, still an order of magnitude cheaper than re-deriving
-    the canonical set with ``np.unique``.
+    comparisons, cheaper than re-deriving the canonical set with an
+    O(m log m) sort-and-dedup.
     """
     m = graph.src.size
     if m & 1 or graph.n > _PACK_LIMIT:
@@ -138,7 +138,7 @@ def _constructor_canonical_keys(graph: "EdgeListGraph") -> "np.ndarray | None":
             return None
         key = u * np.int64(graph.n) + v
         if half > 1 and not bool(np.all(key[1:] > key[:-1])):
-            return None  # not duplicate-free; let np.unique sort it out
+            return None  # not duplicate-free; the canonicalising sort dedups
         return key
     return u * np.int64(graph.n) + v
 
@@ -195,7 +195,7 @@ def graph_fingerprint(graph: GraphInput) -> str:
     sorting it.  Edge lists in the form the constructors emit are
     verified duplicate-free with O(m) comparisons and skip
     canonicalisation entirely; only inputs with duplicated or unordered
-    edges pay the ``np.unique`` fallback.
+    edges pay the sort-and-dedup fallback.
 
     Fingerprints of :class:`EdgeListGraph` inputs are memoised on the
     instance: the dataclass is frozen, and the serve layer treats

@@ -12,8 +12,8 @@ that bound real:
   into a :class:`ShardPlan`: how many shards, how many edges each may
   hold, and how large the streaming chunks are.  The planner sizes
   shards so that ``workers`` concurrent shard solves (input slabs,
-  ``np.unique`` scratch, contraction levels, and the shared-memory
-  double count) fit inside the budget together;
+  compaction and dedup sort scratch, contraction levels, and the
+  shared-memory double count) fit inside the budget together;
 * :class:`ShardStore` / :class:`PairFile` -- append-only files of
   ``(u, v)`` int64 pairs on disk, read back through *windowed*
   ``np.memmap`` views (:func:`open_memmap_window`) that are unmapped
@@ -50,11 +50,12 @@ from repro.util.validation import check_positive
 PathLike = Union[str, Path]
 
 #: Estimated resident bytes one in-flight shard solve costs per edge:
-#: the (u, v) input slabs, the worker's ``np.unique`` scratch, the
-#: contraction level arrays, the frontier output slab -- and the fact
-#: that shared-memory pages touched by both parent and worker are
-#: counted in both processes' RSS.  Deliberately conservative; the
-#: bench (``benchmarks/bench_sharded.py``) asserts the realized peak.
+#: the (u, v) input slabs, the worker's compaction and dedup sort
+#: scratch, the contraction level arrays, the frontier output slab --
+#: and the fact that shared-memory pages touched by both parent and
+#: worker are counted in both processes' RSS.  Deliberately
+#: conservative; the bench (``benchmarks/bench_sharded.py``) asserts the
+#: realized peak.
 SHARD_BYTES_PER_EDGE = 256
 
 #: Fraction of the memory budget the planner hands to concurrent shard

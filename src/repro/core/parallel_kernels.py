@@ -249,11 +249,15 @@ def serial_round(
 
     The inline path of the parallel engine and the ground truth the
     chunked path is tested against: hook over the whole edge range into
-    ``scratch``, combine, jump over the whole vertex range into
-    ``back``.  The caller swaps ``f``/``back`` afterwards.  Returns
+    ``scratch``, combine, then jump over the whole vertex range into
+    ``back`` until a jump moves no label (every tree a star).  The
+    caller swaps ``f``/``back`` afterwards.  Returns
     ``(hook_changed, jump_changed)``.
     """
     hook_partial(f, src, dst, 0, src.shape[0], scratch, variant, seed)
     hook_changed = combine_partials(f, [scratch])
-    jump_changed = jump_chunk(f, back, 0, f.shape[0]) > 0
+    jump_changed = False
+    while jump_chunk(f, back, 0, f.shape[0]) > 0:
+        jump_changed = True
+        f[...] = back
     return hook_changed, jump_changed

@@ -45,7 +45,11 @@ Design points, in the order they matter:
 * **No leaks.**  Shutdown (explicit, context-manager, or the ``atexit``
   safety net) joins the workers, drains the queues and unlinks every
   shared segment; :func:`repro.analysis.shm.live_segments` is empty
-  afterwards, which the tests and CI assert.
+  afterwards, which the tests and CI assert.  While the pool runs, a
+  worker unmaps each segment the parent is done with -- a transient
+  slab when its task ends, a solve's own segments through
+  :meth:`PoolExecutor.detach` -- so worker memory does not grow with
+  the number of solves.
 
 Slabs touched by a failed or suspect task are *discarded* (unlinked)
 rather than recycled: a straggler worker that still holds the old
@@ -59,7 +63,7 @@ import atexit
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing as mp
@@ -91,6 +95,7 @@ class _Task:
 
     seq: int
     kind: str   # "dense" | "sparse" | "shard" | "lt_hook" | "lt_jump" | "ping"
+    #           | "detach"
     out: Optional[SharedArrayRef] = None
     stack: Optional[SharedArrayRef] = None   # dense: (B, S, S) adjacency
     src: Optional[SharedArrayRef] = None     # sparse/shard: edge arrays
@@ -102,6 +107,16 @@ class _Task:
     lo: int = 0                   # lt_*: chunk bounds (edges / vertices)
     hi: int = 0
     seed: int = -1                # lt_hook: stochastic round seed
+    drop: Tuple[str, ...] = ()    # segments to unmap once the task ends
+
+
+_REF_FIELDS = ("out", "stack", "src", "dst", "labels")
+
+
+def _segment_names(task: _Task) -> Tuple[str, ...]:
+    """Names of every shared segment ``task`` points into."""
+    refs = (getattr(task, name) for name in _REF_FIELDS)
+    return tuple(ref.name for ref in refs if ref is not None)
 
 
 # ----------------------------------------------------------------------
@@ -109,9 +124,11 @@ class _Task:
 # ----------------------------------------------------------------------
 #: Per-worker cache of attached segments (name -> SharedMemory).  The
 #: parent's slab pool recycles a handful of names, so after warm-up a
-#: worker maps no new memory per batch.  Bounded: oldest mapping evicted
-#: past this many entries (discarded transient slabs would otherwise pin
-#: their orphaned pages forever).
+#: worker maps no new memory per batch.  Segments the parent is about to
+#: unlink leave the cache as soon as their task ends (``_Task.drop``, or
+#: a ``"detach"`` broadcast for segments shared by many tasks), so a
+#: finished batch or solve pins no pages.  The bound is a backstop:
+#: oldest mapping evicted past this many entries.
 _ATTACH_CACHE_MAX = 32
 
 
@@ -123,10 +140,26 @@ def _attach_view(cache: Dict[str, "mp.shared_memory.SharedMemory"],
     if shm is None:
         shm = shared_memory.SharedMemory(name=ref.name)
         if len(cache) >= _ATTACH_CACHE_MAX:
-            cache.pop(next(iter(cache))).close()
+            _drop_views(cache, [next(iter(cache))])
         cache[ref.name] = shm
     return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf,
                       offset=ref.offset)
+
+
+def _drop_views(cache: Dict[str, "mp.shared_memory.SharedMemory"],
+                names: Sequence[str]) -> None:
+    """Unmap the named segments from this worker (no-op if not mapped).
+
+    A view that somehow outlived its task keeps ``close`` from
+    releasing the buffer; the mapping then goes with that view.
+    """
+    for name in names:
+        shm = cache.pop(name, None)
+        if shm is not None:
+            try:
+                shm.close()
+            except BufferError:
+                pass
 
 
 def _run_task(task: _Task, cache: Dict) -> int:
@@ -135,6 +168,8 @@ def _run_task(task: _Task, cache: Dict) -> int:
     from repro.hirschberg.contracting import connected_components_contracting
     from repro.hirschberg.edgelist import connected_components_edgelist
 
+    if task.kind == "detach":
+        return 0  # the worker loop unmaps ``task.drop``
     if task.kind == "ping":
         if task.sleep:
             time.sleep(task.sleep)
@@ -230,14 +265,17 @@ def _worker_main(worker_id: int, task_r, result_w,
                 break  # parent went away
             if task is None:
                 break
+            drop = task.drop
             try:
-                token = _run_task(task, cache)
-                result_w.send(("done", task.seq, pid, token, None))
+                token, error = _run_task(task, cache), None
             except BaseException as exc:  # noqa: BLE001 -- reported, not raised
-                result_w.send(
-                    ("done", task.seq, pid, None,
-                     f"{type(exc).__name__}: {exc}")
-                )
+                token, error = None, f"{type(exc).__name__}: {exc}"
+                # the parent discards every slab of a failed task
+                drop = drop + _segment_names(task)
+            # unmap before reporting: once the parent sees "done" it may
+            # unlink, and no worker should still hold the pages
+            _drop_views(cache, drop)
+            result_w.send(("done", task.seq, pid, token, error))
             hb.array[worker_id] += 1
     finally:
         for shm in cache.values():
@@ -467,15 +505,20 @@ class PoolExecutor:
             return len(self._pending)
 
     # -- submission ----------------------------------------------------
-    def _submit(self, build) -> Tuple[_Pending, List[Slab]]:
+    def _submit(
+        self, build, target: Optional[_WorkerHandle] = None
+    ) -> Tuple[_Pending, List[Slab]]:
         """Allocate a sequence number, build the task, dispatch it.
 
         ``build(seq) -> (task, slabs)`` runs under no lock (slab writes
-        are heavy).  The task goes down the private pipe of the
-        least-loaded worker; registration happens before the send so a
-        lightning-fast worker can never report an unknown seq.  A send
-        that hits a just-died worker's broken pipe resolves the pending
-        ``"died"`` immediately -- the caller's retry re-dispatches.
+        are heavy).  The task goes down the private pipe of ``target``,
+        or of the least-loaded worker; registration happens before the
+        send so a lightning-fast worker can never report an unknown seq.
+        A send that hits a just-died worker's broken pipe (or a
+        ``target`` already replaced) resolves the pending ``"died"``
+        immediately -- the caller's retry re-dispatches.  Transient
+        slabs are unlinked on release, so the task tells its worker to
+        unmap them when it ends.
         """
         with self._lock:
             if self._state != "running":
@@ -483,22 +526,27 @@ class PoolExecutor:
             self._seq += 1
             seq = self._seq
         task, slabs = build(seq)
+        transient = tuple(s.ref.name for s in slabs if s.transient)
+        if transient:
+            task = replace(task, drop=task.drop + transient)
         pending = _Pending(task=task, submitted=time.monotonic())
         with self._lock:
             if self._state != "running":
                 raise WorkerDied("pool is shut down")
-            loads = {
-                h.proc.pid: 0 for h in self._handles if h is not None
-            }
-            for other in self._pending.values():
-                if other.outcome is None and other.assigned_pid in loads:
-                    loads[other.assigned_pid] += 1
-            handle = min(
-                (h for h in self._handles if h is not None),
-                key=lambda h: loads.get(h.proc.pid, 0),
-            )
+            handles = [h for h in self._handles if h is not None]
+            if target is None:
+                loads = {h.proc.pid: 0 for h in handles}
+                for other in self._pending.values():
+                    if other.outcome is None and other.assigned_pid in loads:
+                        loads[other.assigned_pid] += 1
+                handle = min(handles, key=lambda h: loads.get(h.proc.pid, 0))
+            else:
+                handle = target
             pending.assigned_pid = handle.proc.pid
             self._pending[seq] = pending
+        if handle not in handles:
+            pending.resolve("died", "worker replaced")
+            return pending, slabs
         try:
             handle.task_w.send(task)
         except (OSError, ValueError):
@@ -686,6 +734,34 @@ class PoolExecutor:
             return out[0, :count].copy(), out[1, :count].copy()
 
         return self._run(build, collect)
+
+    def detach(self, names: Sequence[str]) -> None:
+        """Make every worker unmap the named segments, then return.
+
+        Workers keep their segment mappings across tasks.  A caller
+        that shares segments with many tasks (the parallel engine's
+        edge, label and partial slabs) calls this before unlinking them,
+        so no worker keeps a finished solve's pages resident.  A worker
+        that died took its mappings with it, and its replacement never
+        made them, so deaths need no retry.
+        """
+        names = tuple(names)
+        with self._lock:
+            if not names or self._state != "running":
+                return
+            handles = [h for h in self._handles if h is not None]
+
+        def build(seq: int) -> Tuple[_Task, List[Slab]]:
+            return _Task(seq=seq, kind="detach", drop=names), []
+
+        pendings: List[_Pending] = []
+        try:
+            for handle in handles:
+                pendings.append(self._submit(build, target=handle)[0])
+        except WorkerDied:
+            pass  # shut down meanwhile: the workers are gone
+        for pending in pendings:
+            self._finish(pending)
 
     # -- chunk-parallel label rounds (repro.hirschberg.parallel) ---------
     def run_chunk_tasks(self, builds: Sequence) -> List[int]:

@@ -196,14 +196,16 @@ def _solve_shared_task(graph_ref: SharedEdgeListRef, slot_ref,
     """Process-worker entry: attach, solve, write labels into the slot.
 
     Returns the component count as a cheap liveness/consistency token;
-    the labels themselves never cross the pipe.
+    the labels themselves never cross the pipe.  Labels are canonical
+    (each component labelled by its minimum node), so the count is the
+    number of fixed points -- one O(n) pass, no hash or sort.
     """
     graph, handles = attach_edge_list(graph_ref)
     slot = SharedArray.attach(slot_ref)
     try:
         labels = connected_components(graph, engine=engine).labels
         slot.array[...] = labels
-        return int(np.unique(labels).size)
+        return int(np.count_nonzero(labels == np.arange(labels.size)))
     finally:
         slot.close()
         for h in handles:

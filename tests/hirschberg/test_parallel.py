@@ -84,6 +84,20 @@ class TestKernels:
         assert np.array_equal(back[5:], [-7, -7])
         assert np.array_equal(back[2:5], [0, 1, 4])
 
+    @pytest.mark.parametrize("variant", ["sv", "fastsv"])
+    def test_serial_round_ends_with_stars(self, variant):
+        """A round jumps until no label moves: every tree it leaves is a
+        star, so no round ends with a pointer chain still unresolved."""
+        g = random_edge_list(2_000, 2_600, seed=5)
+        f = np.arange(g.n, dtype=np.int64)
+        scratch = np.empty(g.n, dtype=np.int64)
+        back = np.empty(g.n, dtype=np.int64)
+        hooked, jumped = pk.serial_round(f, g.src, g.dst, scratch, back,
+                                         variant)
+        assert hooked and jumped
+        assert np.array_equal(back[back], back)
+        assert np.array_equal(back, f)
+
     def test_combine_partials_reports_change(self):
         f = np.array([3, 4, 5], dtype=np.int64)
         assert pk.combine_partials(f, [np.array([3, 4, 5], dtype=np.int64)]) \
@@ -199,6 +213,8 @@ class TestPooled:
         pooled = connected_components_parallel(g, variant=variant, pool=pool)
         assert pooled.pooled and pooled.workers == 2
         assert np.array_equal(pooled.labels, inline.labels)
+        assert (pooled.rounds, pooled.confirm_rounds) \
+            == (inline.rounds, inline.confirm_rounds)
 
     def test_single_worker_pool(self):
         from repro.serve.executor import PoolExecutor

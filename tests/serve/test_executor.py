@@ -116,6 +116,63 @@ class TestPoolExecutor:
             pool.ping()
 
 
+def _unlinked_mappings(pid: int) -> set:
+    """Shared-memory segments ``pid`` still maps after their unlink."""
+    with open(f"/proc/{pid}/maps") as fh:
+        return {
+            line.split()[-2] for line in fh
+            if "/dev/shm/" in line and line.rstrip().endswith("(deleted)")
+        }
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/<pid>/maps")
+class TestWorkerMappings:
+    """A worker unmaps a segment once the parent is done with it, so
+    repeated solves do not grow worker memory."""
+
+    def _assert_no_stale(self, pool, baseline):
+        for pid in pool.worker_pids():
+            assert _unlinked_mappings(pid) <= baseline[pid], pid
+
+    def test_pooled_parallel_solves_leave_no_mappings(self):
+        from repro.hirschberg.parallel import connected_components_parallel
+
+        with PoolExecutor(workers=2, calibrate=False) as pool:
+            baseline = {p: _unlinked_mappings(p) for p in pool.worker_pids()}
+            for seed in range(4):
+                g = random_edge_list(3_000, 9_000, seed=seed)
+                res = connected_components_parallel(g, pool=pool)
+                assert np.array_equal(res.labels, _oracle_sparse(g))
+                self._assert_no_stale(pool, baseline)
+
+    def test_transient_slabs_unmapped_after_their_task(self):
+        # a 1-byte slab budget makes every slab transient (unlinked on
+        # release instead of recycled)
+        with PoolExecutor(workers=1, calibrate=False,
+                          slab_budget=1) as pool:
+            baseline = {p: _unlinked_mappings(p) for p in pool.worker_pids()}
+            for seed in range(3):
+                g = random_edge_list(200, 500, seed=seed)
+                assert np.array_equal(pool.solve_solo(g, "contracting"),
+                                      _oracle_sparse(g))
+                self._assert_no_stale(pool, baseline)
+
+    def test_failed_task_segments_unmapped(self):
+        with PoolExecutor(workers=1, calibrate=False) as pool:
+            baseline = {p: _unlinked_mappings(p) for p in pool.worker_pids()}
+            with pytest.raises(RuntimeError, match="pool worker error"):
+                pool.solve_coalesced([random_edge_list(10, 20, seed=0)],
+                                     "no-such-engine")
+            self._assert_no_stale(pool, baseline)
+
+    def test_detach_unknown_names_and_after_shutdown(self):
+        pool = PoolExecutor(workers=1, calibrate=False).start()
+        pool.detach(["no-such-segment"])
+        pool.shutdown()
+        pool.detach(["no-such-segment"])  # no-op, does not raise
+
+
 class TestCrashRecovery:
     def test_killed_worker_is_replaced_and_work_retried(self):
         with PoolExecutor(workers=1, calibrate=False) as pool:

@@ -132,6 +132,30 @@ class TestSparseProcessPool:
         finally:
             pool.shutdown()
 
+    @pytest.mark.parametrize("engine", ["contracting", "edgelist", "parallel"])
+    def test_liveness_token_is_component_count(self, engine):
+        """The worker's token (fixed points of the canonical labels)
+        equals the component count, isolated vertices included."""
+        from repro.analysis.shm import share_edge_list
+        from repro.serve.workers import _solve_shared_task
+
+        base = random_edge_list(40, 30, seed=10)
+        g = EdgeListGraph.from_arrays(60, base.src, base.dst)  # 40.. isolated
+        expected = int(np.unique(_oracle_sparse(g)).size)
+        pool = SparseProcessPool(1)
+        workspace, ref = share_edge_list(g)
+        try:
+            slot = workspace.zeros((g.n,), np.int64)
+            token = pool._executor.submit(
+                _solve_shared_task, ref, slot.ref, engine
+            ).result()
+            assert np.array_equal(slot.array, _oracle_sparse(g))
+            assert token == expected
+        finally:
+            workspace.close()
+            workspace.unlink()
+            pool.shutdown()
+
     def test_shutdown_refuses_new_work(self):
         pool = SparseProcessPool(1)
         pool.shutdown()
