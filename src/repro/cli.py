@@ -648,8 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "parallel", "sharded", "interpreter", "reference", "pram"],
         default="vectorized",
         help="execution engine; 'auto' dispatches on (n, m) via the "
-             "measured cost model (including the memory and parallelism "
-             "dimensions) and reports its choice",
+             "measured cost model (including the memory dimension) among "
+             "contracting, sharded and the dense engines, and reports its "
+             "choice",
     )
     solve.add_argument("--variant",
                        choices=["sv", "fastsv", "stochastic"],
@@ -659,8 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--kernel-workers", type=int, default=None,
                        metavar="W",
                        help="shm pool workers for --method parallel "
-                            "(1 = inline serial kernels; default: probed "
-                            "core count under --method auto, else 1)")
+                            "(default 1 = inline serial kernels)")
     solve.add_argument("--shards", type=int, default=None, metavar="K",
                        help="shard count for --method sharded "
                             "(default: planned from the memory budget)")

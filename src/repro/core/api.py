@@ -16,17 +16,17 @@ Most users want one call::
 * ``"batched"`` -- the stacked batched field (one graph here; shines on
   many graphs via :func:`repro.core.batched.connected_components_batch`);
 * ``"edgelist"`` -- the work-efficient ``O((n + m) log n)`` sparse
-  variant;
+  variant (selectable by name only; ``"auto"`` never picks it);
 * ``"contracting"`` -- the contracting sparse variant: every outer
   iteration relabels supervertices and drops settled edges, so iteration
-  ``t`` runs on the surviving ``(n_t, m_t)`` only (fastest at large
-  sparse scale);
+  ``t`` runs on the surviving ``(n_t, m_t)`` only (fastest at every
+  measured sparse scale, and ``"auto"``'s choice for single graphs);
 * ``"parallel"`` -- the chunk-parallel Liu--Tarjan/FastSV engine:
   synchronous hook/combine/jump label-propagation rounds whose phases
-  fan out across a pre-forked shared-memory worker pool (serial through
-  the same kernels when no workers are available); ``engine="auto"``
-  routes here only when the per-round scatter work amortises the
-  measured barrier cost on a multi-core host;
+  fan out across a pre-forked shared-memory worker pool when
+  ``kernel_workers > 1`` (serial through the same kernels otherwise);
+  selectable by name only -- contracting beat it on every measured
+  host, so ``"auto"`` never picks it;
 * ``"sharded"`` -- the out-of-core engine: the edge list is partitioned
   into disk-backed shards, each solved by the contracting engine under a
   bounded memory budget, and the per-shard label frontiers merged with a
@@ -162,13 +162,11 @@ _PROBED_MODEL: Optional[CostModel] = None
 def _probed_cost_model() -> CostModel:
     global _PROBED_MODEL
     if _PROBED_MODEL is None:
-        import os
         from dataclasses import replace
 
         _PROBED_MODEL = replace(
             DEFAULT_COST_MODEL,
             memory_budget=float(probe_available_memory()),
-            parallel_workers=float(os.cpu_count() or 1),
         )
     return _PROBED_MODEL
 
@@ -226,9 +224,9 @@ def connected_components(
         :class:`~repro.hirschberg.edgelist.EdgeListGraph`.
     engine:
         One of ``"auto"``, ``"vectorized"``, ``"batched"``,
-        ``"edgelist"``, ``"contracting"``, ``"interpreter"``,
-        ``"reference"``, ``"pram"`` (see module docstring).  ``"auto"``
-        dispatches on ``(n, m)`` via
+        ``"edgelist"``, ``"contracting"``, ``"parallel"``,
+        ``"sharded"``, ``"interpreter"``, ``"reference"``, ``"pram"``
+        (see module docstring).  ``"auto"`` dispatches on ``(n, m)`` via
         :func:`repro.core.dispatch.choose_engine`.
     iterations:
         Override the outer-iteration count (default ``ceil(log2 n)``;
@@ -250,12 +248,11 @@ def connected_components(
         resident byte budget); ignored by every other engine.  See
         :func:`repro.hirschberg.sharded.connected_components_sharded`.
     variant, kernel_workers:
-        Tuning knobs for the parallel engine: the update rule
+        Tuning knobs for ``engine="parallel"``: the update rule
         (``"sv"``, ``"fastsv"`` (default), ``"stochastic"``) and how
-        many pool workers to fan the rounds out on (default: the probed
-        CPU count when ``"auto"`` dispatched here, else inline).
-        ``kernel_workers=1`` forces the inline serial-kernel path;
-        ignored by every other engine.  See
+        many pool workers to fan the rounds out on (default 1, the
+        inline serial-kernel path); ignored by every other engine,
+        ``"auto"`` included.  See
         :func:`repro.hirschberg.parallel.connected_components_parallel`.
     sanitize:
         Run under the CROW write-barrier engine
@@ -331,16 +328,7 @@ def connected_components(
             raise ValueError(
                 f"kernel_workers must be >= 1, got {kernel_workers}"
             )
-        workers = kernel_workers
-        if workers is None:
-            # auto-dispatch landed here because the probed worker count
-            # amortises the barriers -- honour it; an explicit
-            # engine="parallel" without kernel_workers stays inline.
-            if requested == "auto":
-                model = cost_model if cost_model is not None else _probed_cost_model()
-                workers = max(1, int(model.parallel_workers))
-            else:
-                workers = 1
+        workers = kernel_workers if kernel_workers is not None else 1
         detail = connected_components_parallel(
             _to_edge_list(graph),
             variant=variant if variant is not None else "fastsv",

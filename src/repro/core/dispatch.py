@@ -1,42 +1,45 @@
 """Adaptive engine dispatch from a small measured cost model.
 
-The library now ships six interchangeable execution engines for the
+``engine="auto"`` chooses among five interchangeable engines for the
 same labelling -- the cell-accurate interpreter, the fused vectorised
-field, the stacked batched field, the scatter edge-list variant, the
-contracting sparse variant and the sharded out-of-core variant -- and
-the right one depends on the workload: ``n``, the edge count, the batch
-size and how much memory the engine's working set may claim.  This
-module centralises that decision so every caller (``engine="auto"`` in
-:mod:`repro.core.api`, the CLI, the sweep harness) picks the same way.
+field, the stacked batched field, the contracting sparse variant and
+the sharded out-of-core variant -- and the right one depends on the
+workload: ``n``, the edge count, the batch size and how much memory the
+engine's working set may claim.  This module centralises that decision
+so every caller (``engine="auto"`` in :mod:`repro.core.api`, the serve
+planner, the CLI, the sweep harness) picks the same way.
 
 The model is deliberately small: a handful of per-unit constants
-(seconds per cell-generation, per scattered edge, per engine-internal
-NumPy dispatch, ...) measured on the reference development box (see
-``benchmarks/bench_sparse_scaling.py``), combined with the paper's
-closed-form schedule length ``1 + log n (3 log n + 8)``.  It only has to
-be right about *tiers*, not percent-level differences;
+(seconds per cell-generation, per contracted vertex and edge, per
+engine-internal NumPy dispatch, ...) measured on the reference
+development box (see ``benchmarks/bench_sparse_scaling.py``), combined
+with the paper's closed-form schedule length ``1 + log n (3 log n + 8)``.
+It only has to be right about *tiers*, not percent-level differences;
 :func:`calibrate` re-measures the constants for callers on very
 different hardware.
 
 The measured verdict is itself a result worth recording: for a *single*
-graph the sparse engines win the wall clock everywhere -- even at 50%
-density the contracting engine beats the dense field by an order of
-magnitude, because the field pays ``Theta(n^2)`` cells for every one of
-the ``1 + log n (3 log n + 8)`` generations while the sparse engines pay
-``O(n + m)`` per outer iteration.  The dense engines' regions are
-therefore *capability* regions, not speed regions: the interpreter is
-dispatched when congestion instrumentation is required
+graph the contracting engine wins the wall clock everywhere -- even at
+50% density it beats the dense field by an order of magnitude, because
+the field pays ``Theta(n^2)`` cells for every one of the
+``1 + log n (3 log n + 8)`` generations while contraction pays
+``O(n + m)`` per level on a shrinking problem.  The dense engines'
+regions are therefore *capability* regions, not speed regions: the
+interpreter is dispatched when congestion instrumentation is required
 (``require_instrumentation=True``), and the vectorised/batched field
 engines remain the reproduction of the paper's architecture (and the
 batched engine the fastest *field* path for many-graph workloads).  The
-cost model still prices all five honestly, so if the balance shifts on
-other hardware (or after :func:`calibrate`), the decision follows the
-measurements, not this paragraph.
+scatter edge-list engine and the chunk-parallel Liu--Tarjan engine are
+not priced at all: on a 2-core host contracting beat edge-list at every
+measured point from ``n = 32`` to ``n = 10^6``, and beat the pooled
+parallel engine at ``n = 10^6, m = 5 * 10^6`` (EXPERIMENTS.md, E26).
+Both stay selectable by name (``engine="edgelist"``,
+``engine="parallel"``).
 
 >>> choose_engine(4, 3, require_instrumentation=True)
 'interpreter'
 >>> choose_engine(512, 60_000)           # mid-size, dense-ish
-'edgelist'
+'contracting'
 >>> choose_engine(8, 12, batch_size=64)  # many tiny dense graphs
 'batched'
 >>> choose_engine(2_000_000, 6_000_000)  # large sparse
@@ -70,12 +73,9 @@ from typing import Dict, Optional, Union
 from repro.util.intmath import ceil_log2
 
 #: Engines the dispatcher selects between (in stable tie-break order;
-#: serial contracting precedes the chunk-parallel engine so a tie never
-#: pays barriers, and the out-of-core engine comes last so an in-RAM
-#: engine wins any tie).
+#: the out-of-core engine comes last so an in-RAM engine wins any tie).
 DISPATCHABLE = (
-    "contracting", "parallel", "edgelist", "batched", "vectorized",
-    "interpreter", "sharded",
+    "contracting", "batched", "vectorized", "interpreter", "sharded",
 )
 
 
@@ -103,12 +103,6 @@ class CostModel:
     #: batched engine: per cell per generation; the per-generation
     #: dispatch is shared by the whole batch.
     batched_cell_gen: float = 4.0e-10
-    #: edge-list engine: per directed edge per outer iteration
-    #: (``np.minimum.at`` scatter)...
-    scatter_edge: float = 1.3e-8
-    #: ...plus the fixed NumPy dispatch cost of one outer iteration
-    #: (~15 kernel launches).
-    edgelist_iter_dispatch: float = 1.2e-5
     #: contracting engine: per (vertex + directed edge) unit...
     contracting_unit: float = 6.0e-8
     #: ...times this effective level count (the active problem shrinks
@@ -130,24 +124,6 @@ class CostModel:
     #: :class:`~repro.serve.executor.PoolExecutor` replaces it with the
     #: round trip it *measured* during warm-up on this host.
     pool_dispatch_overhead: float = 2.0e-3
-    #: chunk-parallel engine: seconds of synchronisation per round --
-    #: two task-barrier phases (hook, jump) plus the parent-side partial
-    #: combine dispatch.  A conservative placeholder; a running
-    #: :class:`~repro.serve.executor.PoolExecutor` replaces it with
-    #: twice the dispatch round trip it measured during warm-up.
-    parallel_round_sync: float = 4.0e-3
-    #: effective synchronous round count of the fastsv variant (the
-    #: fixpoint lands in a handful of rounds at dispatchable scales;
-    #: priced as a constant like ``contracting_levels``).
-    parallel_rounds: float = 5.0
-    #: per-vertex per-round cost of the parent-side partial combine,
-    #: paid once per live partial slab (so scaled by the worker count).
-    parallel_combine_node: float = 1.5e-9
-    #: kernel workers available to the chunk-parallel engine.  The
-    #: shipped default assumes none (serial hosts must never dispatch
-    #: to it); ``engine="auto"`` replaces it with the probed CPU count
-    #: and pool owners with their actual worker count.
-    parallel_workers: float = 1.0
     #: sharded out-of-core engine: seconds per undirected edge across
     #: partition IO, per-shard contraction and the boundary merge.
     sharded_edge: float = 7.5e-7
@@ -196,11 +172,11 @@ def predict_memory(
 ) -> Dict[str, float]:
     """Predicted resident working set in bytes for every engine.
 
-    The dense engines pay per cell, the in-RAM sparse engines per
-    vertex and directed edge, and the sharded out-of-core engine clamps
-    its resident set to the model's budget by construction (its
-    capacity grows with disk, not RAM) -- so its entry is the smaller
-    of the in-RAM footprint and the budget.
+    The dense engines pay per cell, the contracting engine per vertex
+    and directed edge, and the sharded out-of-core engine clamps its
+    resident set to the model's budget by construction (its capacity
+    grows with disk, not RAM) -- so its entry is the smaller of the
+    in-RAM footprint and the budget.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -214,50 +190,12 @@ def predict_memory(
         n * model.sparse_bytes_per_node
         + 2 * m * model.sparse_bytes_per_edge
     )
-    workers = max(1, int(model.parallel_workers))
     return {
         "interpreter": cells * model.interpreter_bytes_per_cell,
         "vectorized": cells * model.dense_bytes_per_cell,
         "batched": cells * model.dense_bytes_per_cell * batch_size,
-        "edgelist": sparse,
         "contracting": sparse,
-        # shared edge arrays + front/back label slabs + one private
-        # partial slab per worker, 8 bytes per int64 entry
-        "parallel": sparse + (workers + 2) * n * 8.0,
         "sharded": min(sparse, model.memory_budget),
-    }
-
-
-def parallel_verdict(
-    n: int, m: int, model: Optional[CostModel] = None
-) -> Dict[str, object]:
-    """The parallelism decision for one ``(n, m)`` graph, with inputs.
-
-    The chunk-parallel engine pays :attr:`CostModel.parallel_round_sync`
-    every synchronous round regardless of size, so it is only worth
-    dispatching when the round's *serial* scatter work would dominate
-    the barrier: the gate requires at least 2 kernel workers **and**
-    per-round serial seconds >= 2x the measured sync overhead.  Below
-    that, barriers eat the speedup and auto must stay serial (the
-    acceptance bar: small graphs never regress).
-    """
-    model = model or DEFAULT_COST_MODEL
-    workers = max(1, int(model.parallel_workers))
-    m_directed = 2 * m
-    serial_round = m_directed * model.scatter_edge + n * model.parallel_combine_node
-    per_round = (
-        model.parallel_round_sync
-        + m_directed * model.scatter_edge / workers
-        + n * model.parallel_combine_node * workers
-    )
-    amortizes = serial_round >= 2.0 * model.parallel_round_sync
-    return {
-        "workers": workers,
-        "per_round_serial_seconds": serial_round,
-        "per_round_sync_seconds": model.parallel_round_sync,
-        "amortizes_barriers": amortizes,
-        "worth_parallel": workers >= 2 and amortizes,
-        "predicted_seconds": model.parallel_rounds * per_round,
     }
 
 
@@ -285,7 +223,6 @@ def predict_costs(
 
     cells = n * (n + 1)
     gens = _schedule_generations(n)
-    iters = ceil_log2(max(n, 2))
     m_directed = 2 * m
 
     costs: Dict[str, float] = {}
@@ -308,24 +245,12 @@ def predict_costs(
                 + cells * model.batched_cell_gen)
         if batch_size > 1 and fits["batched"] else float("inf")
     )
-    costs["edgelist"] = (
-        iters * (
-            model.edgelist_iter_dispatch + m_directed * model.scatter_edge
-        )
-        if fits["edgelist"] else float("inf")
-    )
     costs["contracting"] = (
         model.contracting_levels * (
             model.contracting_level_dispatch
             + (n + m_directed) * model.contracting_unit
         )
         if fits["contracting"] else float("inf")
-    )
-    verdict = parallel_verdict(n, m, model=model)
-    costs["parallel"] = (
-        float(verdict["predicted_seconds"])  # type: ignore[arg-type]
-        if fits["parallel"] and bool(verdict["worth_parallel"])
-        else float("inf")
     )
     # The out-of-core engine is always feasible: its resident set is
     # clamped to the budget by construction.  Its constants price the
@@ -378,7 +303,6 @@ def explain_choice(
             ),
         },
         "feasible": sorted(k for k, v in costs.items() if v != float("inf")),
-        "parallel": parallel_verdict(n, m, model=model),
         "choice": choose_engine(n, m, batch_size=batch_size, model=model),
     }
 
@@ -397,10 +321,7 @@ def calibrate(
     from repro.core.machine import connected_components_interpreter
     from repro.graphs.generators import random_graph
     from repro.hirschberg.contracting import connected_components_contracting
-    from repro.hirschberg.edgelist import (
-        connected_components_edgelist,
-        random_edge_list,
-    )
+    from repro.hirschberg.edgelist import random_edge_list
 
     base = model or DEFAULT_COST_MODEL
     deadline = time.perf_counter() + seconds_budget
@@ -433,7 +354,6 @@ def calibrate(
     dispatch = max(per_gen_small - cells_small * cell_gen, 1e-9)
 
     g_tiny = random_edge_list(16, 24, seed=0)
-    e_dispatch = timed(lambda: connected_components_edgelist(g_tiny)) / ceil_log2(16)
     c_dispatch = timed(lambda: connected_components_contracting(g_tiny)) / (
         base.contracting_levels
     )
@@ -451,11 +371,6 @@ def calibrate(
     overhead = max(t_full - t_raw, 1e-9)
 
     ge = random_edge_list(20_000, 40_000, seed=0)
-    iters = ceil_log2(20_000)
-    scatter = max(
-        timed(lambda: connected_components_edgelist(ge)) / iters - e_dispatch,
-        1e-9,
-    ) / ge.src.size
     contract = max(
         timed(lambda: connected_components_contracting(ge))
         / base.contracting_levels - c_dispatch,
@@ -468,15 +383,9 @@ def calibrate(
         vectorized_gen_dispatch=dispatch,
         vectorized_cell_gen=cell_gen,
         batched_cell_gen=cell_gen,
-        scatter_edge=scatter,
-        edgelist_iter_dispatch=e_dispatch,
         contracting_unit=contract,
         contracting_level_dispatch=c_dispatch,
         request_overhead=overhead,
-        # a host property rather than a timing, but calibration output
-        # should describe the machine it ran on (the cache is keyed by
-        # host_fingerprint() for the same reason)
-        parallel_workers=float(os.cpu_count() or 1),
     )
 
 
@@ -493,9 +402,8 @@ def host_fingerprint() -> Dict[str, object]:
 
     A calibration file carried to a different machine -- or the same
     image booted with a different core count -- would silently misprice
-    the pool and chunk-parallel dispatch terms, so the cache is keyed by
-    the facts those terms depend on: logical CPU count, architecture
-    and OS.
+    the pool dispatch term, so the cache is keyed by the facts that term
+    depends on: logical CPU count, architecture and OS.
     """
     import platform
 
@@ -545,9 +453,11 @@ def load_cost_model(
     Returns ``None`` when the file is missing, unparsable, from a
     different schema version, measured on a different host (see
     :func:`host_fingerprint` -- a cache carried to a different core
-    count must recalibrate, not misprice parallel dispatch), or holds
+    count must recalibrate, not misprice pool dispatch), or holds
     non-numeric constants -- a stale cache must never break startup,
-    only trigger recalibration.
+    only trigger recalibration.  Constants the :class:`CostModel` no
+    longer has are ignored, so a cache written before a field was
+    removed still loads.
     """
     path = Path(path) if path is not None else default_cache_path()
     try:

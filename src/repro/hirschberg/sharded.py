@@ -71,6 +71,7 @@ from repro.analysis.shards import (
     remove_workdir,
     spot_check_labels,
 )
+from repro.hirschberg.contracting import connected_components_contracting
 from repro.hirschberg.edgelist import EdgeListGraph
 
 __all__ = [
@@ -100,21 +101,17 @@ ShardSource = Union[
 
 
 def solve_shard_arrays(
-    n: int, u: np.ndarray, v: np.ndarray, engine: str = "contracting"
+    n: int, u: np.ndarray, v: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve one shard; return its frontier star pairs.
 
     ``u``/``v`` hold global vertex ids in ``[0, n)``.  The shard is
-    compacted to the ids it touches, solved with the selected per-shard
-    engine (``"contracting"``, or ``"parallel"`` for the Liu--Tarjan
-    label-propagation kernels of :mod:`repro.hirschberg.parallel` --
-    shard-level fan-out across pool workers stays the outer parallelism
-    either way), and reduced to pairs ``(vertex, representative)`` for
-    every touched vertex whose shard-local representative differs from
-    itself.  Representatives are global minimum ids of their
-    shard-component (``np.unique`` sorts, so local index order is
-    global id order) -- both engines emit exactly that canonical
-    labelling, so the frontier is engine-independent.
+    compacted to the ids it touches, solved with the contracting engine,
+    and reduced to pairs ``(vertex, representative)`` for every touched
+    vertex whose shard-local representative differs from itself.
+    Representatives are global minimum ids of their shard-component
+    (``np.unique`` sorts, so local index order is global id order, and
+    the engine labels each component by its minimum local index).
     """
     u = np.asarray(u, dtype=np.int64).ravel()
     v = np.asarray(v, dtype=np.int64).ravel()
@@ -130,21 +127,7 @@ def solve_shard_arrays(
     local_graph = EdgeListGraph.from_arrays(
         int(verts.size), inverse[: u.size], inverse[u.size:]
     )
-    if engine == "parallel":
-        from repro.hirschberg.parallel import connected_components_parallel
-
-        local_labels = connected_components_parallel(local_graph).labels
-    elif engine == "contracting":
-        from repro.hirschberg.contracting import (
-            connected_components_contracting,
-        )
-
-        local_labels = connected_components_contracting(local_graph).labels
-    else:
-        raise ValueError(
-            f"shard engine must be 'contracting' or 'parallel', "
-            f"got {engine!r}"
-        )
+    local_labels = connected_components_contracting(local_graph).labels
     reps = verts[local_labels]
     keep = reps != verts
     return verts[keep], reps[keep]
@@ -286,7 +269,6 @@ def connected_components_sharded(
     spot_check: bool = False,
     spot_check_seed: int = 0,
     keep_workdir: bool = False,
-    shard_engine: str = "contracting",
 ) -> ShardedResult:
     """Out-of-core connected components over a sharded edge stream.
 
@@ -318,19 +300,7 @@ def connected_components_sharded(
         (re-streamed from the shard files) and attach the report.
     keep_workdir:
         Leave the shard files behind (debugging / postmortems).
-    shard_engine:
-        Per-shard solver: ``"contracting"`` (default) or ``"parallel"``
-        (the chunk-parallel engine's Liu--Tarjan kernels; big shards
-        then run the same data-parallel update rules the standalone
-        ``engine="parallel"`` uses, while shard-level fan-out across
-        the pool remains the outer parallelism).  The frontier pairs
-        and final labels are bit-identical either way.
     """
-    if shard_engine not in ("contracting", "parallel"):
-        raise ValueError(
-            f"shard_engine must be 'contracting' or 'parallel', "
-            f"got {shard_engine!r}"
-        )
     t_start = time.perf_counter()
     n, edges_est, stream = _as_stream(source, n, edges_hint)
     window = _resolve_workers(workers, pool, edges_est)
@@ -384,11 +354,9 @@ def connected_components_sharded(
         def solve_one(i: int) -> None:
             u, v = store.read_shard(i)
             if active_pool is not None:
-                verts, reps = active_pool.solve_shard(
-                    n, u, v, engine=shard_engine
-                )
+                verts, reps = active_pool.solve_shard(n, u, v)
             else:
-                verts, reps = solve_shard_arrays(n, u, v, engine=shard_engine)
+                verts, reps = solve_shard_arrays(n, u, v)
             with emit_lock:
                 frontier.append(verts, reps)
                 shard_stats.append({

@@ -101,7 +101,7 @@ class _Task:
     src: Optional[SharedArrayRef] = None     # sparse/shard: edge arrays
     dst: Optional[SharedArrayRef] = None
     n: int = 0                    # sparse/shard: global node count
-    engine: str = "contracting"   # sparse/shard engine, or lt_hook variant
+    engine: str = "contracting"   # sparse engine, or lt_hook variant
     sleep: float = 0.0            # ping: hold the worker busy (tests)
     labels: Optional[SharedArrayRef] = None  # lt_*: round-start labels
     lo: int = 0                   # lt_*: chunk bounds (edges / vertices)
@@ -166,7 +166,6 @@ def _run_task(task: _Task, cache: Dict) -> int:
     """Execute one task against shared memory; returns a tiny token."""
     from repro.core.batched import BatchedGCA
     from repro.hirschberg.contracting import connected_components_contracting
-    from repro.hirschberg.edgelist import connected_components_edgelist
 
     if task.kind == "detach":
         return 0  # the worker loop unmaps ``task.drop``
@@ -187,7 +186,6 @@ def _run_task(task: _Task, cache: Dict) -> int:
             task.n,
             _attach_view(cache, task.src),
             _attach_view(cache, task.dst),
-            engine=task.engine,
         )
         count = int(verts.size)
         out[0, :count] = verts
@@ -208,25 +206,14 @@ def _run_task(task: _Task, cache: Dict) -> int:
 
         return jump_chunk(_attach_view(cache, task.labels), out,
                           task.lo, task.hi)
+    if task.engine != "contracting":
+        raise ValueError(f"unknown sparse engine {task.engine!r}")
     graph = EdgeListGraph(
         n=task.n,
         src=_attach_view(cache, task.src),
         dst=_attach_view(cache, task.dst),
     )
-    if task.engine == "edgelist":
-        labels = connected_components_edgelist(graph).labels
-    elif task.engine == "contracting":
-        labels = connected_components_contracting(graph).labels
-    elif task.engine == "parallel":
-        # The chunk-parallel engine's serial path: a pool worker cannot
-        # fan out onto its own pool, so a sparse batch routed here runs
-        # the same kernels inline (the server drives the truly pooled
-        # variant from the parent via run_chunk_tasks).
-        from repro.hirschberg.parallel import connected_components_parallel
-
-        labels = connected_components_parallel(graph).labels
-    else:
-        raise ValueError(f"unknown sparse engine {task.engine!r}")
+    labels = connected_components_contracting(graph).labels
     out[...] = labels
     return int(labels.size)
 
@@ -694,17 +681,14 @@ class PoolExecutor:
         return self.solve_coalesced([graph], engine)[0]
 
     def solve_shard(
-        self, n: int, u: np.ndarray, v: np.ndarray,
-        engine: str = "contracting",
+        self, n: int, u: np.ndarray, v: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One out-of-core shard solve on a pool worker.
 
         The shard's endpoint arrays are written straight into recycled
         shared slabs (zero pickling -- only the :class:`_Task`
         descriptor crosses the pipe); the worker compacts the shard,
-        runs the selected per-shard engine (``"contracting"`` or the
-        parallel engine's label-propagation kernels with
-        ``"parallel"``), and writes the frontier star pairs
+        contracts it, and writes the frontier star pairs
         ``(vertex, representative)`` into the shared output slab.  The
         returned arrays are parent-owned copies, so the slabs recycle
         immediately.  Thread-safe: the sharded engine drives this from
@@ -724,7 +708,7 @@ class PoolExecutor:
             dst.array[...] = v
             task = _Task(
                 seq=seq, kind="shard", out=out.ref, src=src.ref,
-                dst=dst.ref, n=n, engine=engine,
+                dst=dst.ref, n=n,
             )
             return task, [src, dst, out]
 

@@ -314,20 +314,18 @@ class BatchPlanner:
         * ``"batched"`` -- the stacked dense field, whose per-generation
           NumPy dispatch (and the per-request API overhead) is shared by
           the whole stack;
-        * coalesced ``"edgelist"`` / ``"contracting"`` -- one sparse run
-          over the members' disjoint union, so the per-iteration
-          dispatch is likewise paid once per batch (priced by
-          predicting the engine at the union's ``(B*n, B*m)`` shape).
+        * coalesced ``"contracting"`` -- one sparse run over the
+          members' disjoint union, so the per-level dispatch is likewise
+          paid once per batch (priced by predicting the engine at the
+          union's ``(B*n, B*m)`` shape).  A disjoint union contracts
+          fast: blocks are independent, so each level shrinks every
+          block at once.
 
         Solo engines additionally pay the full per-request API overhead
         (validation, dense -> sparse conversion, result assembly) for
         every member -- exactly the asymmetry that makes micro-batching
-        pay at small ``n``.
-
-        Only ``"contracting"`` is offered as the coalesced engine: a
-        disjoint union contracts fast (blocks are independent, so each
-        iteration halves every block's edges at once), and measurement
-        shows it dominating ``"edgelist"`` across union shapes.
+        pay at small ``n``.  The only sparse engine offered, solo or
+        coalesced, is ``"contracting"``, the one the dispatcher prices.
         """
         occupancy = max(occupancy, 1)
         mean_m = max(int(mean_m), 0)
@@ -343,13 +341,7 @@ class BatchPlanner:
             )
             priced["contracting"] = union["contracting"] / occupancy + amortized
         else:
-            for name in ("edgelist", "contracting"):
-                priced[name] = costs[name] + overhead
-            # chunk-parallel label propagation: predict_costs() already
-            # prices it infinite unless the parallel verdict says the
-            # per-round serial work amortises the pool barriers
-            if costs.get("parallel", float("inf")) != float("inf"):
-                priced["parallel"] = costs["parallel"] + overhead
+            priced["contracting"] = costs["contracting"] + overhead
         if key.kind == "dense":
             priced["batched"] = costs["batched"] + amortized
             for name in ("vectorized", "interpreter"):

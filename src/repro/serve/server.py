@@ -77,12 +77,10 @@ from repro.serve.scheduler import (
     PendingRequest,
     sample_mean_m,
 )
-from repro.hirschberg.parallel import connected_components_parallel
 from repro.serve.workers import (
     SparseProcessPool,
     WorkerDied,
     as_dense_matrix,
-    as_edge_list,
     solve_coalesced,
     solve_dense_stack,
     solve_solo,
@@ -269,18 +267,14 @@ class Server:
             self._pool = PoolExecutor(
                 self.config.process_workers or os.cpu_count() or 1
             ).start()
-            # replace the shipped constants with this host's measured
-            # round trip so pool_pays() and parallel_verdict() price
-            # real dispatches: one label round costs two barrier phases
-            # (hook+combine, then jump), each a full pool round trip
-            updates = {"parallel_workers": float(self._pool.workers)}
+            # replace the shipped constant with this host's measured
+            # round trip so pool_pays() prices real dispatches
             if self._pool.measured_overhead > 0:
-                updates["pool_dispatch_overhead"] = self._pool.measured_overhead
-                updates["parallel_round_sync"] = (
-                    2.0 * self._pool.measured_overhead
+                self.cost_model = replace(
+                    self.cost_model,
+                    pool_dispatch_overhead=self._pool.measured_overhead,
                 )
-            self.cost_model = replace(self.cost_model, **updates)
-            self._planner.model = self.cost_model
+                self._planner.model = self.cost_model
         elif self.config.process_workers > 0:
             self._sparse_pool = SparseProcessPool(self.config.process_workers)
         self._scheduler = threading.Thread(
@@ -643,7 +637,7 @@ class Server:
         mean_m = sample_mean_m(runnable)
         engine = self._planner.choose_batch_engine(key, occupancy, mean_m)
         batched = (key.kind == "dense" and engine == "batched")
-        coalesced = (occupancy > 1 and engine in ("edgelist", "contracting"))
+        coalesced = (occupancy > 1 and engine == "contracting")
         if batched or coalesced:
             pooled = (self._pool is not None
                       and self._planner.pool_pays(key, occupancy, mean_m))
@@ -712,24 +706,13 @@ class Server:
             if attempt > 0:
                 self.metrics.record_retry()
                 pending.attempts += 1
-            recorded = engine
             try:
                 if use_pool:
                     try:
                         if self._pool is not None:
-                            if engine == "parallel":
-                                # chunk tasks fan out across every pool
-                                # worker, driven from this thread --
-                                # not one worker solving alone
-                                labels = connected_components_parallel(
-                                    as_edge_list(pending.request.graph),
-                                    pool=self._pool,
-                                ).labels
-                                recorded = "pool:parallel"
-                            else:
-                                labels = self._pool.solve_solo(
-                                    pending.request.graph, engine
-                                )
+                            labels = self._pool.solve_solo(
+                                pending.request.graph, engine
+                            )
                         else:
                             labels = self._sparse_pool.solve(
                                 pending.request.graph, engine
@@ -746,7 +729,7 @@ class Server:
                 last_error = exc
                 self.metrics.record_error()
                 continue
-            self._resolve_ok(pending, labels, recorded, 1, started)
+            self._resolve_ok(pending, labels, engine, 1, started)
             return
         self._resolve(
             pending, RequestStatus.ERROR,

@@ -45,10 +45,7 @@ from repro.core.api import connected_components
 from repro.core.batched import BatchedGCA
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.hirschberg.contracting import connected_components_contracting
-from repro.hirschberg.edgelist import (
-    EdgeListGraph,
-    connected_components_edgelist,
-)
+from repro.hirschberg.edgelist import EdgeListGraph
 from repro.serve.request import GraphLike
 
 
@@ -168,11 +165,15 @@ def solve_coalesced(
 ) -> List[np.ndarray]:
     """Labels for many graphs via one sparse run on their disjoint union.
 
-    The per-iteration NumPy dispatch of the sparse engine is paid once
-    per *batch* instead of once per graph: the sparse-tier counterpart
-    of the stacked dense field (see :func:`union_edges` /
+    The per-level NumPy dispatch of the contracting engine is paid
+    once per *batch* instead of once per graph: the sparse-tier
+    counterpart of the stacked dense field (see :func:`union_edges` /
     :func:`split_union_labels` for the block-boundary argument).
+    ``engine`` must be ``"contracting"``, the only engine the serve
+    planner coalesces on, as in the pool's sparse tasks.
     """
+    if engine != "contracting":
+        raise ValueError(f"unknown sparse engine {engine!r}")
     lists = [as_edge_list(g) for g in graphs]
     counts = np.asarray([e.n for e in lists])
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -181,10 +182,7 @@ def solve_coalesced(
         return [np.empty(0, dtype=np.int64) for _ in lists]
     src, dst = union_edges(lists, offsets)
     union = EdgeListGraph(n=total, src=src, dst=dst)
-    if engine == "edgelist":
-        labels = connected_components_edgelist(union).labels
-    else:
-        labels = connected_components_contracting(union).labels
+    labels = connected_components_contracting(union).labels
     return split_union_labels(labels, offsets)
 
 

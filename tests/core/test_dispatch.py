@@ -1,9 +1,13 @@
 """Tests for the adaptive engine dispatcher and its cost model."""
 
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.api import connected_components
+from repro.core.api import _probed_cost_model, connected_components
 from repro.core.dispatch import (
     DISPATCHABLE,
     CostModel,
@@ -16,6 +20,7 @@ from repro.graphs.components import canonical_labels
 from repro.graphs.generators import random_graph
 from repro.graphs.union_find import UnionFind
 from repro.hirschberg.edgelist import random_edge_list
+from repro.serve.scheduler import BatchPlanner, BucketKey
 
 
 class TestPredictCosts:
@@ -33,8 +38,7 @@ class TestPredictCosts:
         costs = predict_costs(10_000, 20_000, model=tiny_budget)
         assert costs["vectorized"] == float("inf")
         assert costs["interpreter"] == float("inf")
-        # the in-RAM sparse engines are gated by the same budget...
-        assert costs["edgelist"] == float("inf")
+        # the in-RAM sparse engine is gated by the same budget...
         assert costs["contracting"] == float("inf")
         # ...while the out-of-core engine stays feasible at any budget
         assert costs["sharded"] < float("inf")
@@ -43,11 +47,11 @@ class TestPredictCosts:
         from repro.core.dispatch import predict_memory
 
         n, m = 10_000, 20_000
-        need = predict_memory(n, m)["edgelist"]
+        need = predict_memory(n, m)["contracting"]
         fits = CostModel(memory_budget=need)
         tight = CostModel(memory_budget=need - 1)
-        assert predict_costs(n, m, model=fits)["edgelist"] < float("inf")
-        assert predict_costs(n, m, model=tight)["edgelist"] == float("inf")
+        assert predict_costs(n, m, model=fits)["contracting"] < float("inf")
+        assert predict_costs(n, m, model=tight)["contracting"] == float("inf")
 
     def test_sharded_priced_but_never_preferred_in_ram(self):
         # with the shipped budget, small and mid workloads never pick
@@ -84,13 +88,13 @@ class TestChooseEngine:
             choose_engine(10_000, 100, model=tiny, require_instrumentation=True)
 
     def test_respects_model_override(self):
-        # a model where scattering is free and everything else absurd
+        # a model where the dense field is free and contraction absurd
         rigged = CostModel(
-            scatter_edge=1e-15, edgelist_iter_dispatch=1e-15,
-            contracting_unit=1.0, interpreter_cell_gen=1.0,
-            vectorized_gen_dispatch=1.0, vectorized_cell_gen=1.0,
+            vectorized_gen_dispatch=1e-15, vectorized_cell_gen=1e-15,
+            contracting_unit=1.0, contracting_level_dispatch=1.0,
         )
-        assert choose_engine(1000, 2000, model=rigged) == "edgelist"
+        assert choose_engine(1000, 2000) == "contracting"
+        assert choose_engine(1000, 2000, model=rigged) == "vectorized"
 
 
 class TestExplainChoice:
@@ -197,7 +201,6 @@ class TestCalibrate:
         assert isinstance(model, CostModel)
         for field in ("interpreter_cell_gen", "vectorized_gen_dispatch",
                       "vectorized_cell_gen", "batched_cell_gen",
-                      "scatter_edge", "edgelist_iter_dispatch",
                       "contracting_unit", "contracting_level_dispatch"):
             assert getattr(model, field) > 0, field
 
@@ -277,6 +280,37 @@ class TestCostModelCache:
         assert loaded is not None
         assert loaded.request_overhead == 7.0
 
+    def test_load_cache_with_removed_fields(self, tmp_path):
+        """A cache written while the model still priced the edge-list
+        and chunk-parallel engines loads; the retired constants drop."""
+        import json
+
+        from repro.core.dispatch import (
+            _CACHE_VERSION,
+            host_fingerprint,
+            load_cost_model,
+        )
+
+        retired = {
+            "scatter_edge": 1.3e-8,
+            "edgelist_iter_dispatch": 1.2e-5,
+            "parallel_round_sync": 4.0e-3,
+            "parallel_rounds": 5.0,
+            "parallel_combine_node": 1.5e-9,
+            "parallel_workers": 2.0,
+        }
+        constants = {**asdict(CostModel()), **retired,
+                     "contracting_unit": 5.0e-8}
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps({
+            "version": _CACHE_VERSION,
+            "saved_at": 0.0,
+            "host": host_fingerprint(),
+            "constants": constants,
+        }))
+        loaded = load_cost_model(path)
+        assert loaded == CostModel(contracting_unit=5.0e-8)
+
     def test_load_foreign_host_returns_none(self, tmp_path):
         """Satellite: a calibration cache carried to a different core
         count (or arch) must recalibrate, not misprice dispatch."""
@@ -325,58 +359,13 @@ class TestCostModelCache:
 
 
 class TestParallelDispatch:
-    """The parallelism dimension: chunk-parallel label propagation is
-    offered only when the per-round serial work amortises the measured
-    barrier cost, and never on one core."""
-
-    MULTI = CostModel(parallel_workers=4.0, parallel_round_sync=1e-4)
-
-    def test_one_core_never_prices_parallel(self):
-        costs = predict_costs(1_000_000, 5_000_000, model=CostModel())
-        assert costs["parallel"] == float("inf")
-
-    def test_big_sparse_prefers_parallel_on_many_cores(self):
-        costs = predict_costs(1_000_000, 5_000_000, model=self.MULTI)
-        assert costs["parallel"] < costs["contracting"]
-        assert choose_engine(1_000_000, 5_000_000, model=self.MULTI) \
-            == "parallel"
+    """The chunk-parallel engine stays selectable by name, but the
+    dispatcher never routes to it."""
 
     def test_small_graphs_never_route_parallel(self):
         """Acceptance bar: auto never regresses small graphs."""
         for n, m in ((10, 20), (200, 400), (2_000, 3_000)):
-            assert choose_engine(n, m, model=self.MULTI) != "parallel"
-
-    def test_sync_dominated_rounds_stay_serial(self):
-        slow_barrier = CostModel(
-            parallel_workers=8.0, parallel_round_sync=10.0
-        )
-        costs = predict_costs(1_000_000, 5_000_000, model=slow_barrier)
-        assert costs["parallel"] == float("inf")
-
-    def test_explain_choice_reports_the_verdict(self):
-        exp = explain_choice(1_000_000, 5_000_000, model=self.MULTI)
-        verdict = exp["parallel"]
-        assert verdict["workers"] == 4
-        assert verdict["worth_parallel"] and verdict["amortizes_barriers"]
-        assert verdict["per_round_serial_seconds"] \
-            >= 2.0 * verdict["per_round_sync_seconds"]
-        tiny = explain_choice(100, 200, model=self.MULTI)["parallel"]
-        assert not tiny["amortizes_barriers"]
-        assert not tiny["worth_parallel"]
-
-    def test_gate_is_the_two_x_rule(self):
-        from repro.core.dispatch import parallel_verdict
-
-        v = parallel_verdict(50_000, 100_000, model=self.MULTI)
-        expected = (
-            v["per_round_serial_seconds"] >= 2.0 * v["per_round_sync_seconds"]
-        )
-        assert v["amortizes_barriers"] == expected
-        solo = parallel_verdict(
-            50_000, 100_000,
-            model=CostModel(parallel_workers=1.0, parallel_round_sync=1e-9),
-        )
-        assert not solo["worth_parallel"]  # one worker never "parallel"
+            assert choose_engine(n, m) != "parallel"
 
     def test_forced_parallel_engine_matches_auto(self):
         g = random_edge_list(3_000, 8_000, seed=77)
@@ -384,3 +373,54 @@ class TestParallelDispatch:
         forced = connected_components(g, engine="parallel")
         assert forced.method == "parallel"
         assert np.array_equal(auto.labels, forced.labels)
+
+
+def _scaled_model(factors):
+    return replace(CostModel(), **{
+        f.name: getattr(CostModel(), f.name) * factor
+        for f, factor in zip(fields(CostModel), factors)
+    })
+
+
+#: Shipped, host-probed and randomly rescaled cost models.
+_MODELS = st.one_of(
+    st.just(CostModel()),
+    st.builds(_probed_cost_model),
+    st.lists(st.floats(1e-3, 1e3), min_size=len(fields(CostModel)),
+             max_size=len(fields(CostModel))).map(_scaled_model),
+)
+
+
+class TestDispatchSet:
+    """``auto`` and the serve planner choose only among engines that won
+    a measured point: never the edge-list or the chunk-parallel engine."""
+
+    RETIRED = ("edgelist", "parallel")
+
+    def test_dispatchable_engines(self):
+        assert DISPATCHABLE == (
+            "contracting", "batched", "vectorized", "interpreter", "sharded",
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @example(n=512, m=60_000, batch_size=1, model=CostModel())
+    @given(n=st.integers(1, 10**8), m=st.integers(0, 10**9),
+           batch_size=st.integers(1, 512), model=_MODELS)
+    def test_never_retired_engines(self, n, m, batch_size, model):
+        assert choose_engine(n, m, batch_size=batch_size, model=model) \
+            not in self.RETIRED
+        assert not set(self.RETIRED) & set(
+            explain_choice(n, m, batch_size=batch_size,
+                           model=model)["predicted_seconds"])
+        planner = BatchPlanner(model=model)
+        sparse = BucketKey("sparse", n)
+        assert set(planner._priced(sparse, batch_size, m)) == {"contracting"}
+        dense = BucketKey("dense", n)
+        assert planner.choose_batch_engine(dense, batch_size, m) \
+            not in self.RETIRED
+
+    def test_auto_contracts_a_big_sparse_graph(self):
+        """The graph size where the parallel engine used to win the
+        cost model on a multi-core host."""
+        g = random_edge_list(200_000, 1_000_000, seed=1)
+        assert connected_components(g, engine="auto").method == "contracting"

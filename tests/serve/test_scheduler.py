@@ -242,7 +242,7 @@ class TestEngineChoice:
     def test_sparse_solo_offers_sparse_engines(self):
         planner = BatchPlanner()
         engine = planner.choose_batch_engine(BucketKey("sparse", 8), 1, 16)
-        assert engine in ("edgelist", "contracting")
+        assert engine == "contracting"
 
     def test_dense_batch_prefers_a_batching_strategy(self):
         planner = BatchPlanner()

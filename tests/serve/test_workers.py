@@ -58,13 +58,18 @@ class TestSolveDenseStack:
 
 
 class TestSolveCoalesced:
-    @pytest.mark.parametrize("engine", ["edgelist", "contracting"])
+    @pytest.mark.parametrize("engine", ["contracting"])
     def test_matches_oracle_per_member(self, engine):
         graphs = [random_edge_list(n, 2 * n, seed=n) for n in (4, 9, 16, 30)]
         labels = solve_coalesced(graphs, engine)
         assert len(labels) == len(graphs)
         for g, vec in zip(graphs, labels):
             assert np.array_equal(vec, _oracle_sparse(g))
+
+    @pytest.mark.parametrize("engine", ["edgelist", "parallel"])
+    def test_only_contracting_coalesces(self, engine):
+        with pytest.raises(ValueError, match="unknown sparse engine"):
+            solve_coalesced([random_edge_list(4, 8, seed=0)], engine)
 
     def test_singleton_batch(self):
         g = random_edge_list(12, 24, seed=1)

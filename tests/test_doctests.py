@@ -9,6 +9,7 @@ import doctest
 
 import pytest
 
+import repro.core.dispatch
 import repro.graphs.adjacency
 import repro.pram.brent
 import repro.util.formatting
@@ -16,6 +17,7 @@ import repro.util.intmath
 import repro.util.sentinels
 
 MODULES = [
+    repro.core.dispatch,
     repro.util.intmath,
     repro.util.sentinels,
     repro.util.formatting,
