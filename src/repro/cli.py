@@ -329,7 +329,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait=args.max_wait,
         max_queue=args.max_queue,
         admission=args.admission,
-        calibration=args.calibration,
         executor=args.executor,
         process_workers=args.process_workers,
         cache_bytes=(_parse_bytes(args.cache_bytes)
@@ -390,7 +389,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     config = ServerConfig(
         workers=args.workers,
         max_wait=args.max_wait,
-        calibration=args.calibration,
         executor=args.executor,
         process_workers=args.process_workers,
         cache_bytes=args.cache_bytes,
@@ -647,10 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "vectorized", "batched", "edgelist", "contracting",
                  "parallel", "sharded", "interpreter", "reference", "pram"],
         default="vectorized",
-        help="execution engine; 'auto' dispatches on (n, m) via the "
-             "measured cost model (including the memory dimension) among "
-             "contracting, sharded and the dense engines, and reports its "
-             "choice",
+        help="execution engine; 'auto' picks contracting, or sharded "
+             "when contracting's working set exceeds the probed memory, "
+             "and reports its choice",
     )
     solve.add_argument("--variant",
                        choices=["sv", "fastsv", "stochastic"],
@@ -776,12 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     listen.add_argument("--drain-timeout", type=float, default=10.0,
                         help="bound in seconds on the SIGTERM/SIGINT "
                              "drain (default 10)")
-    listen.add_argument(
-        "--calibration", choices=["default", "cached", "recalibrate"],
-        default="default",
-        help="'cached' loads/measures the per-host cost-model cache; "
-             "'recalibrate' forces a fresh measurement",
-    )
     listen.set_defaults(func=_cmd_serve)
 
     serve = sub.add_parser(
@@ -836,12 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline seconds; 0 = none")
     serve.add_argument("--wait-timeout", type=float, default=120.0,
                        help="seconds to wait for each response")
-    serve.add_argument(
-        "--calibration", choices=["default", "cached", "recalibrate"],
-        default="default",
-        help="'cached' loads/measures the per-host cost-model cache; "
-             "'recalibrate' forces a fresh measurement",
-    )
     serve.add_argument("--baseline", action="store_true",
                        help="also time the naive sequential baseline")
     serve.add_argument("--allow-failures", action="store_true",

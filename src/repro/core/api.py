@@ -9,9 +9,9 @@ Most users want one call::
 
 ``engine`` selects the execution engine:
 
-* ``"auto"`` (default for :func:`connected_components`) -- pick the
-  cheapest feasible engine from the workload shape via the measured cost
-  model in :mod:`repro.core.dispatch`;
+* ``"auto"`` (default for :func:`connected_components`) -- the rule
+  table in :mod:`repro.core.dispatch`: ``"contracting"``, or
+  ``"sharded"`` when its working set would not fit the memory budget;
 * ``"vectorized"`` -- whole-array NumPy execution over the dense field;
 * ``"batched"`` -- the stacked batched field (one graph here; shines on
   many graphs via :func:`repro.core.batched.connected_components_batch`);
@@ -20,7 +20,7 @@ Most users want one call::
 * ``"contracting"`` -- the contracting sparse variant: every outer
   iteration relabels supervertices and drops settled edges, so iteration
   ``t`` runs on the surviving ``(n_t, m_t)`` only (fastest at every
-  measured sparse scale, and ``"auto"``'s choice for single graphs);
+  measured scale, and ``"auto"``'s choice whenever it fits in memory);
 * ``"parallel"`` -- the chunk-parallel Liu--Tarjan/FastSV engine:
   synchronous hook/combine/jump label-propagation rounds whose phases
   fan out across a pre-forked shared-memory worker pool when
@@ -236,13 +236,11 @@ def connected_components(
         schedule.  Supported by the vectorised engine only; with
         ``engine="auto"`` this forces the vectorised engine.
     cost_model:
-        Override the measured :class:`~repro.core.dispatch.CostModel`
-        used by ``"auto"`` (e.g. one from
-        :func:`repro.core.dispatch.calibrate`).  When omitted, ``"auto"``
-        uses the shipped constants with the memory budget set from a
-        live probe of the host's available memory, so workloads whose
-        working set exceeds what this machine can hold route to the
-        sharded out-of-core engine.
+        Override the :class:`~repro.core.dispatch.CostModel` used by
+        ``"auto"``.  When omitted, ``"auto"`` uses the shipped constants
+        with the memory budget set from a live probe of the host's
+        available memory, so workloads whose working set exceeds what
+        this machine can hold route to the sharded out-of-core engine.
     shards, memory_budget:
         Tuning knobs for the sharded engine (shard count override and
         resident byte budget); ignored by every other engine.  See
@@ -292,9 +290,7 @@ def connected_components(
             engine = "vectorized"
         else:
             model = cost_model if cost_model is not None else _probed_cost_model()
-            engine = choose_engine(n, m, batch_size=1, model=model)
-            if engine == "batched":  # never dispatched for one graph
-                engine = "vectorized"
+            engine = choose_engine(n, m, model=model)
     if early_exit and engine != "vectorized":
         raise ValueError(
             f"early_exit is only supported by the vectorized engine, "

@@ -2,9 +2,9 @@
 
 The step from "fast library" to "service": a stream of independent
 connected-components requests is admitted through a bounded queue,
-packed into size buckets, priced by the dispatcher's measured cost
-model, and executed as stacked :class:`~repro.core.batched.BatchedGCA`
-batches (or solo sparse runs) on a worker pool -- with per-request
+packed into size buckets, and executed as one coalesced contracting
+solve per batch (or a solo run of the engine the dispatcher's rule
+table picks) on a worker pool -- with per-request
 deadlines, cancellation, retries, backpressure, graceful drain and a
 full serve-side metrics layer.
 
@@ -25,10 +25,10 @@ Modules
     :class:`CCRequest` / :class:`CCResponse` / :class:`ResultHandle`
     value types and the terminal :class:`RequestStatus`.
 ``repro.serve.scheduler``
-    The thread-free batching policy: buckets, flush triggers, cost-model
-    engine choice.
+    The thread-free batching policy: buckets, flush triggers, engine
+    choice.
 ``repro.serve.workers``
-    Execution backends: dense stacked runs, solo engines, the
+    Execution backends: coalesced unions, solo engines, the
     shared-memory process pool for large sparse requests.
 ``repro.serve.executor``
     The persistent pre-forked :class:`PoolExecutor`: whole flushed

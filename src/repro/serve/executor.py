@@ -5,17 +5,16 @@ flush still executes on one GIL-bound core.  This module is the missing
 half of the paper's "many cheap processing elements" story at the
 process level: a **pre-forked, persistent** pool of worker processes
 that import the engines once, stay warm forever, and execute whole
-flushed batches -- dense stacks and coalesced sparse unions -- on all
-cores.
+flushed batches -- coalesced contracting unions -- on all cores.
 
 Design points, in the order they matter:
 
 * **Zero-copy handoff.**  Batch payloads travel through
   :class:`~repro.analysis.shm.SlabPool` slabs: the parent writes the
-  padded dense stack (or the union's edge arrays) straight into a
-  recycled shared-memory block, the worker attaches by name (caching
-  the mapping, so a steady server re-maps nothing) and writes the label
-  vectors into a shared output slot.  Only a tiny picklable
+  union's edge arrays straight into a recycled shared-memory block, the
+  worker attaches by name (caching the mapping, so a steady server
+  re-maps nothing) and writes the label vectors into a shared output
+  slot.  Only a tiny picklable
   :class:`_Task` descriptor crosses the queue.
 * **Per-worker pipes, not a shared queue.**  Every worker owns a private
   task pipe and a private result pipe (single writer, single reader, no
@@ -31,15 +30,15 @@ Design points, in the order they matter:
   heartbeat slot; a monitor thread watches process liveness.  A dead
   worker (OOM-killed, segfaulted) is replaced immediately, every task
   dispatched to it fails over to a **single retry on a fresh worker**
-  (:meth:`PoolExecutor.solve_dense_stack` /
-  :meth:`~PoolExecutor.solve_coalesced` rebuild the slabs and resubmit
+  (:meth:`PoolExecutor.solve_coalesced` rebuilds the slabs and resubmits
   once), and only then surfaces :class:`~repro.serve.workers.WorkerDied`
   to the server -- which falls back to inline solo execution, so one
   lost worker never fails unrelated in-flight requests.
 * **Measured dispatch overhead.**  Startup warm-calibrates the pool: a
-  few tiny round trips measure the real cost of one pool dispatch on
-  this host (:attr:`PoolExecutor.measured_overhead`), which the server
-  feeds into the cost-model term
+  few tiny coalesced solves -- the task the serve planner ships --
+  measure the real cost of one pool dispatch on this host
+  (:attr:`PoolExecutor.measured_overhead`), which the server feeds into
+  the cost-model term
   :attr:`~repro.core.dispatch.CostModel.pool_dispatch_overhead` so small
   batches stay inline.
 * **No leaks.**  Shutdown (explicit, context-manager, or the ``atexit``
@@ -84,7 +83,7 @@ from repro.serve.workers import (
 #: Seconds an idle worker polls its task pipe between heartbeats.
 HEARTBEAT_INTERVAL = 0.05
 
-#: Warm-calibration round trips (tiny dense solves through the full
+#: Warm-calibration round trips (tiny coalesced solves through the full
 #: slab + queue + attach path); the minimum is the measured overhead.
 _CALIBRATION_TRIPS = 3
 
@@ -94,10 +93,8 @@ class _Task:
     """Picklable batch descriptor; the arrays stay in shared memory."""
 
     seq: int
-    kind: str   # "dense" | "sparse" | "shard" | "lt_hook" | "lt_jump" | "ping"
-    #           | "detach"
+    kind: str   # "sparse" | "shard" | "lt_hook" | "lt_jump" | "ping" | "detach"
     out: Optional[SharedArrayRef] = None
-    stack: Optional[SharedArrayRef] = None   # dense: (B, S, S) adjacency
     src: Optional[SharedArrayRef] = None     # sparse/shard: edge arrays
     dst: Optional[SharedArrayRef] = None
     n: int = 0                    # sparse/shard: global node count
@@ -110,7 +107,7 @@ class _Task:
     drop: Tuple[str, ...] = ()    # segments to unmap once the task ends
 
 
-_REF_FIELDS = ("out", "stack", "src", "dst", "labels")
+_REF_FIELDS = ("out", "src", "dst", "labels")
 
 
 def _segment_names(task: _Task) -> Tuple[str, ...]:
@@ -164,7 +161,6 @@ def _drop_views(cache: Dict[str, "mp.shared_memory.SharedMemory"],
 
 def _run_task(task: _Task, cache: Dict) -> int:
     """Execute one task against shared memory; returns a tiny token."""
-    from repro.core.batched import BatchedGCA
     from repro.hirschberg.contracting import connected_components_contracting
 
     if task.kind == "detach":
@@ -174,11 +170,6 @@ def _run_task(task: _Task, cache: Dict) -> int:
             time.sleep(task.sleep)
         return 0
     out = _attach_view(cache, task.out)
-    if task.kind == "dense":
-        stack = _attach_view(cache, task.stack)
-        result = BatchedGCA(list(stack)).run()
-        out[...] = result.labels
-        return int(result.labels.shape[0])
     if task.kind == "shard":
         from repro.hirschberg.sharded import solve_shard_arrays
 
@@ -415,13 +406,15 @@ class PoolExecutor:
 
     def _warm_calibrate(self) -> None:
         """Measure one pool dispatch end to end (slab, queue, attach,
-        tiny solve, result) -- the term that keeps small batches inline."""
-        tiny = [np.zeros((2, 2), dtype=np.int8)]
+        tiny coalesced solve, result) -- the term that keeps small
+        batches inline."""
+        edge = np.zeros(1, dtype=np.int64)
+        tiny = [EdgeListGraph(n=2, src=edge, dst=edge + 1)] * 2
         best = float("inf")
         for _ in range(_CALIBRATION_TRIPS):
             t0 = time.perf_counter()
             try:
-                self.solve_dense_stack(tiny, 2)
+                self.solve_coalesced(tiny)
             except Exception:  # noqa: BLE001 -- calibration is best-effort
                 return
             best = min(best, time.perf_counter() - t0)
@@ -610,40 +603,6 @@ class PoolExecutor:
             lambda seq: (_Task(seq=seq, kind="ping", sleep=sleep), []),
             lambda slabs, token: None,
         )
-
-    def solve_dense_stack(
-        self, matrices: Sequence[np.ndarray], size: int
-    ) -> List[np.ndarray]:
-        """Pool counterpart of :func:`repro.serve.workers.solve_dense_stack`.
-
-        The padded stack is written straight into a recycled shared
-        slab; the worker runs one :class:`~repro.core.batched.BatchedGCA`
-        pass and writes ``(B, size)`` labels into the shared output slot.
-        """
-        B = len(matrices)
-        if B == 0:
-            return []
-        if size == 0:
-            return [np.empty(0, dtype=np.int64) for _ in matrices]
-
-        def build(seq: int):
-            stack, out = self._acquire_slabs(
-                [((B, size, size), np.int8), ((B, size), np.int64)]
-            )
-            stack.array[...] = 0
-            for i, m in enumerate(matrices):
-                n = m.shape[0]
-                stack.array[i, :n, :n] = m
-            task = _Task(seq=seq, kind="dense", out=out.ref, stack=stack.ref)
-            return task, [stack, out]
-
-        def collect(slabs: List[Slab], token) -> List[np.ndarray]:
-            out = slabs[1].array
-            return [
-                out[i, : matrices[i].shape[0]].copy() for i in range(B)
-            ]
-
-        return self._run(build, collect)
 
     def solve_coalesced(
         self, graphs: Sequence[GraphLike], engine: str = "contracting"

@@ -1,8 +1,8 @@
 """The gateway's wire protocol: compact binary frames + a JSON dialect.
 
-The serving pipeline prices every solve with a measured cost model, so
-the wire layer in front of it has a number to answer to: comms cost per
-request must stay small relative to the CostModel-priced solve.  This
+A served request's solve is often well under a millisecond, so the
+wire layer in front of it has a number to answer to: comms cost per
+request must stay small relative to the solve itself.  This
 module is that layer's *codec* -- pure functions over bytes, no sockets,
 no threads -- shared by the server-side
 :class:`~repro.serve.gateway.Gateway` and the client side of the socket

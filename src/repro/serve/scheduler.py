@@ -1,36 +1,35 @@
 """Batch planning: buckets, flush triggers and engine choice.
 
 The scheduler's job is to turn a FIFO stream of independent requests
-into the stacked ``(B, n+1, n)`` batches that
-:class:`~repro.core.batched.BatchedGCA` executes at one NumPy dispatch
-per generation.  This module holds the *decisions* as plain, thread-free
-logic (the :class:`~repro.serve.server.Server` owns the threads):
+into batches that one *coalesced* contracting run serves
+(:func:`~repro.serve.workers.solve_coalesced`: one sparse solve over the
+members' disjoint union, so the engine's per-level NumPy dispatch is
+paid once per batch instead of once per request).  This module holds the
+*decisions* as plain, thread-free logic (the
+:class:`~repro.serve.server.Server` owns the threads):
 
-* **Bucketing** -- dense requests (adjacency inputs) are grouped by node
-  count, optionally padded up to the next power of two
-  (:attr:`ServerConfig.pad_buckets`) so near-miss sizes share a stack.
-  Padding a graph with isolated vertices cannot change the original
-  vertices' labels (a padding vertex has index ``>= n``, so it can never
-  become the minimum representative of a real component); the server
-  slices the extra rows off after the run.  Sparse
-  :class:`~repro.hirschberg.edgelist.EdgeListGraph` requests are never
-  densified -- each forms its own solo "bucket".
-* **Batch-size cap** -- per bucket, the largest ``B`` whose stacked
-  dense field still fits the cost model's memory budget, clamped by
+* **Bucketing** -- dense (adjacency) and sparse (edge-list) requests
+  are grouped by kind and node count, optionally padded up to the next
+  power of two (:attr:`ServerConfig.pad_buckets`) so near-miss sizes
+  share a flush.  The union keeps every member at its own size, so
+  nothing is padded at solve time and no dense graph is stacked.
+* **Batch-size cap** -- one flush holds at most ``coalesce_units`` of
+  union work (``n + 2m`` summed over its members), clamped by
   ``max_batch``.
 * **Flush triggers** -- a bucket flushes when it is full, when its
   oldest member has waited ``max_wait`` seconds (the batching window),
   or under *deadline pressure*: when some member's remaining budget no
-  longer covers the predicted batch service time plus margin, waiting
-  any longer would turn a hit into a miss.
-* **Engine choice** -- at flush time the dispatcher's measured
-  :class:`~repro.core.dispatch.CostModel` prices three ways to serve
-  the batch: the stacked dense field
-  (:class:`~repro.core.batched.BatchedGCA`), one *coalesced* sparse run
-  over the members' disjoint union
-  (:func:`~repro.serve.workers.solve_coalesced`), or per-request solo
-  engines.  The serve layer inherits every future improvement to the
-  cost model for free.
+  longer covers the estimated flush time plus margin, waiting any
+  longer would turn a hit into a miss.
+* **Engine choice** -- a flush with more than one member, dense or
+  sparse, runs coalesced ``"contracting"``; a single request goes
+  through the dispatcher's rule table
+  (:func:`~repro.core.dispatch.choose_engine`), which sends a request
+  too big for memory to the sharded engine.  The flush estimate behind
+  deadline pressure and :meth:`BatchPlanner.pool_pays` is the union's
+  ``n + 2m`` units times
+  :attr:`~repro.core.dispatch.CostModel.contracting_unit` plus one
+  call's :attr:`~repro.core.dispatch.CostModel.request_overhead`.
 """
 
 from __future__ import annotations
@@ -40,12 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.api import _graph_shape
-from repro.core.dispatch import (
-    CostModel,
-    DEFAULT_COST_MODEL,
-    DISPATCHABLE,
-    predict_costs,
-)
+from repro.core.dispatch import CostModel, DEFAULT_COST_MODEL, choose_engine
 from repro.serve.request import CCRequest, ResultHandle
 
 
@@ -96,9 +90,9 @@ class PendingRequest:
 class BucketKey:
     """Identity of one batching bucket.
 
-    ``kind`` is ``"dense"`` (stackable; ``size`` is the -- possibly
-    padded -- node count) or ``"sparse"`` (solo; ``size`` is the exact
-    node count, and the bucket never holds more than one request).
+    ``kind`` is ``"dense"`` (adjacency requests) or ``"sparse"``
+    (edge-list requests); ``size`` is the -- possibly padded -- node
+    count.
     """
 
     kind: str
@@ -131,15 +125,14 @@ class Bucket:
 
     key: BucketKey
     members: List[PendingRequest] = field(default_factory=list)
-    units: int = 0  # sum of n + 2m over members (sparse buckets only)
+    units: int = 0  # sum of n + 2m over members
     oldest: float = float("inf")  # min submitted_at
     min_deadline: float = float("inf")  # min absolute deadline
     needs_sort: bool = False  # any member with a deadline or priority
-    dense_cap: int = 0  # memory-feasible stack cap, fixed per dense bucket
 
-    def admit(self, pending: PendingRequest, units: int) -> None:
+    def admit(self, pending: PendingRequest) -> None:
         self.members.append(pending)
-        self.units += units
+        self.units += pending.n + 2 * pending.m
         if pending.submitted_at < self.oldest:
             self.oldest = pending.submitted_at
         if pending.deadline_at is not None:
@@ -149,11 +142,9 @@ class Bucket:
         elif pending.request.priority:
             self.needs_sort = True
 
-    def refresh(self, sparse_units: bool) -> None:
+    def refresh(self) -> None:
         """Recompute the aggregates after members were removed."""
-        self.units = (
-            sum(p.n + 2 * p.m for p in self.members) if sparse_units else 0
-        )
+        self.units = sum(p.n + 2 * p.m for p in self.members)
         self.oldest = min(
             (p.submitted_at for p in self.members), default=float("inf")
         )
@@ -178,17 +169,17 @@ class BatchPlanner:
         Safety margin (seconds) subtracted from a request's slack when
         testing deadline pressure.
     pad_buckets:
-        Pad dense graphs up to power-of-two node counts so near-miss
-        sizes share a stack.
+        Pad node counts up to powers of two so near-miss sizes share a
+        bucket.
     coalesce_units:
         Work budget (``n + 2m`` summed over members) of one coalesced
-        sparse flush.  The sparse engines' iteration count grows with
-        the union's node count, so past a few tens of thousands of units
-        a bigger union costs more per member than it amortises -- the
+        flush.  The contracting engine's level count grows with the
+        union's node count, so past a few tens of thousands of units a
+        bigger union costs more per member than it amortises -- the
         default is tuned to that knee, not to memory.
     model:
-        The measured cost model used for batch-vs-solo pricing and the
-        memory-feasible batch cap.
+        The cost model behind the flush estimate (deadline pressure,
+        :meth:`pool_pays`) and a single request's rule-table dispatch.
     """
 
     def __init__(
@@ -227,38 +218,19 @@ class BatchPlanner:
 
     def bucket_cap(self, key: BucketKey,
                    members: Optional[List[PendingRequest]] = None) -> int:
-        """Occupancy cap for one flush of this bucket.
+        """Occupancy cap for one flush of the bucket ``key``: at most
+        ``coalesce_units`` of union work (``n + 2m`` per member,
+        measured over the actual members) so one flush stays at the
+        knee where amortisation pays."""
+        if not members:
+            return self.max_batch
+        units = sum(p.n + 2 * p.m for p in members)
+        return self._units_cap(units, len(members))
 
-        Dense stacks are limited by the memory budget of the stacked
-        field; sparse coalescing is limited by ``coalesce_units`` of
-        union work (``n + 2m`` per member, measured over the actual
-        members) so one flush stays at the knee where amortisation pays.
-        """
-        if key.kind == "sparse":
-            if not members:
-                return self.max_batch
-            units = sum(p.n + 2 * p.m for p in members)
-            return self._sparse_cap(units, len(members))
-        return self._dense_cap(key)
-
-    def _sparse_cap(self, units: int, count: int) -> int:
+    def _units_cap(self, units: int, count: int) -> int:
         mean_units = units / count if count else 1.0
         fit = int(self.coalesce_units // max(mean_units, 1.0))
         return max(1, min(self.max_batch, fit))
-
-    def _dense_cap(self, key: BucketKey) -> int:
-        cells = key.size * (key.size + 1)
-        if cells == 0:
-            return self.max_batch
-        fit = int(self.model.memory_budget
-                  // max(cells * self.model.dense_bytes_per_cell, 1.0))
-        return max(1, min(self.max_batch, fit))
-
-    def _cap(self, bucket: Bucket) -> int:
-        """:meth:`bucket_cap` from the bucket's cached aggregates."""
-        if bucket.key.kind == "sparse":
-            return self._sparse_cap(bucket.units, len(bucket.members))
-        return self._dense_cap(bucket.key)
 
     def add(self, pending: PendingRequest) -> bool:
         """File one admitted request into its bucket.
@@ -278,21 +250,15 @@ class BatchPlanner:
         sparse = pending.sparse
         bucket = self._buckets.get((sparse, size))
         if bucket is None:
-            key = BucketKey("sparse" if sparse else "dense", size)
-            bucket = Bucket(key)
-            if not sparse:
-                bucket.dense_cap = self._dense_cap(key)
+            bucket = Bucket(BucketKey("sparse" if sparse else "dense", size))
             self._buckets[(sparse, size)] = bucket
         self._queued += 1
-        if sparse:
-            bucket.admit(pending, pending.n + 2 * pending.m)
-            # unit-wise form of ``count >= _sparse_cap(units, count)``
-            # (one more coalesced flush is paid for), saving the
-            # division on every arrival
-            return (bucket.units >= self.coalesce_units
-                    or len(bucket.members) >= self.max_batch)
-        bucket.admit(pending, 0)
-        return len(bucket.members) >= bucket.dense_cap
+        bucket.admit(pending)
+        # unit-wise form of ``count >= _units_cap(units, count)`` (one
+        # more coalesced flush is paid for), saving the division on
+        # every arrival
+        return (bucket.units >= self.coalesce_units
+                or len(bucket.members) >= self.max_batch)
 
     def queued_count(self) -> int:
         return self._queued
@@ -304,57 +270,17 @@ class BatchPlanner:
         self._queued = 0
         return out
 
-    # -- cost estimates ------------------------------------------------
-    def _priced(self, key: BucketKey, occupancy: int,
-                mean_m: float) -> Dict[str, float]:
-        """Per-graph engine prices for one flush, serve-adjusted.
-
-        Two batching strategies are priced against plain solo runs:
-
-        * ``"batched"`` -- the stacked dense field, whose per-generation
-          NumPy dispatch (and the per-request API overhead) is shared by
-          the whole stack;
-        * coalesced ``"contracting"`` -- one sparse run over the
-          members' disjoint union, so the per-level dispatch is likewise
-          paid once per batch (priced by predicting the engine at the
-          union's ``(B*n, B*m)`` shape).  A disjoint union contracts
-          fast: blocks are independent, so each level shrinks every
-          block at once.
-
-        Solo engines additionally pay the full per-request API overhead
-        (validation, dense -> sparse conversion, result assembly) for
-        every member -- exactly the asymmetry that makes micro-batching
-        pay at small ``n``.  The only sparse engine offered, solo or
-        coalesced, is ``"contracting"``, the one the dispatcher prices.
-        """
-        occupancy = max(occupancy, 1)
-        mean_m = max(int(mean_m), 0)
-        costs = predict_costs(
-            key.size, mean_m, batch_size=occupancy, model=self.model,
-        )
-        overhead = self.model.request_overhead
-        priced: Dict[str, float] = {}
-        amortized = overhead / occupancy
-        if occupancy > 1:
-            union = predict_costs(
-                key.size * occupancy, mean_m * occupancy, model=self.model,
-            )
-            priced["contracting"] = union["contracting"] / occupancy + amortized
-        else:
-            priced["contracting"] = costs["contracting"] + overhead
-        if key.kind == "dense":
-            priced["batched"] = costs["batched"] + amortized
-            for name in ("vectorized", "interpreter"):
-                priced[name] = costs[name] + overhead
-        return priced
-
+    # -- estimates and engine choice ---------------------------------
     def estimate_batch_seconds(self, key: BucketKey, occupancy: int,
                                mean_m: float) -> float:
-        """Predicted wall seconds to serve one flush of this bucket."""
+        """Estimated wall seconds to serve one flush of this bucket: the
+        union's ``n + 2m`` units of contraction plus one call's fixed
+        overhead."""
         if key.size == 0:
             return 0.0
-        per_graph = min(self._priced(key, occupancy, mean_m).values())
-        return per_graph * max(occupancy, 1)
+        units = max(occupancy, 1) * (key.size + 2 * max(mean_m, 0.0))
+        return (units * self.model.contracting_unit
+                + self.model.request_overhead)
 
     def pool_pays(self, key: BucketKey, occupancy: int,
                   mean_m: float) -> bool:
@@ -375,19 +301,14 @@ class BatchPlanner:
 
     def choose_batch_engine(self, key: BucketKey, occupancy: int,
                             mean_m: float) -> str:
-        """Engine for one flush.
-
-        ``"batched"`` means run the stacked dense field; a sparse engine
-        with occupancy > 1 means run the members' disjoint union
-        coalesced; anything else runs each member solo.
-        """
+        """Engine for one flush: ``"contracting"`` over the members'
+        disjoint union when there is more than one member, else the
+        dispatcher's rule table for the single request."""
         if key.size == 0:
             return "vectorized"  # degenerate; resolved without an engine
-        priced = self._priced(key, occupancy, mean_m)
-        return min(
-            (name for name in DISPATCHABLE if name in priced),
-            key=lambda name: (priced[name], DISPATCHABLE.index(name)),
-        )
+        if occupancy > 1:
+            return "contracting"
+        return choose_engine(key.size, max(int(mean_m), 0), model=self.model)
 
     # -- flush policy --------------------------------------------------
     def _pressure(self, bucket: Bucket, now: float, cap: int) -> bool:
@@ -415,7 +336,7 @@ class BatchPlanner:
         flushes: List[List[PendingRequest]] = []
         for key in list(self._buckets):
             bucket = self._buckets[key]
-            cap = self._cap(bucket)
+            cap = self._units_cap(bucket.units, len(bucket.members))
             timed_out = (
                 force
                 or now - bucket.oldest >= self.max_wait
@@ -438,7 +359,7 @@ class BatchPlanner:
             if not bucket.members:
                 del self._buckets[key]
             else:
-                bucket.refresh(sparse_units=bucket.key.kind == "sparse")
+                bucket.refresh()
         return flushes
 
     def next_due(self, now: Optional[float] = None) -> Optional[float]:

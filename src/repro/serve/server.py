@@ -21,12 +21,12 @@ Lifecycle of one request:
    :class:`~repro.serve.scheduler.BatchPlanner`, which flushes a bucket
    when it is full, when its batching window (``max_wait``) closes, or
    under deadline pressure.
-3. **Execution** (worker threads).  A flushed batch is priced by the
-   dispatcher's cost model -- stacked
-   :class:`~repro.core.batched.BatchedGCA` run, one coalesced sparse run
-   over the members' disjoint union, or per-request solo engines -- then
-   executed; large sparse requests can hop to the shared-memory process
-   pool.  Expired and cancelled members are
+3. **Execution** (worker threads).  A flushed batch of more than one
+   member runs as one coalesced contracting solve over the members'
+   disjoint union; a single request runs the engine the dispatcher's
+   rule table picks.  Flushes the planner expects to be long, and large
+   sparse requests, can hop to the shared-memory process pool.  Expired
+   and cancelled members are
    resolved without touching an engine.  Engine failures and worker
    deaths are retried (``retries``) before resolving ``ERROR``.
 4. **Resolution.**  The request's
@@ -52,12 +52,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dispatch import (
-    CostModel,
-    DEFAULT_COST_MODEL,
-    cached_cost_model,
-    choose_engine,
-)
+from repro.core.dispatch import CostModel, DEFAULT_COST_MODEL, choose_engine
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.hirschberg.edgelist import EdgeListGraph
 from repro.serve.cache import ResultCache, graph_fingerprint
@@ -80,17 +75,14 @@ from repro.serve.scheduler import (
 from repro.serve.workers import (
     SparseProcessPool,
     WorkerDied,
-    as_dense_matrix,
     solve_coalesced,
-    solve_dense_stack,
     solve_solo,
 )
+# Unused here; perfbench/serve_wire.py still wraps this module attribute.
+from repro.serve.workers import solve_dense_stack  # noqa: F401
 
 #: Admission (backpressure) policies.
 ADMISSION_POLICIES = ("block", "shed", "fail")
-
-#: Cost-model startup modes.
-CALIBRATION_MODES = ("default", "cached", "recalibrate")
 
 #: Batch execution backends.
 EXECUTORS = ("inline", "pool")
@@ -109,13 +101,13 @@ class ServerConfig:
         ``"block"`` (default), ``"shed"`` or ``"fail"`` -- see module
         docstring.
     max_batch:
-        Hard batch-occupancy cap (the memory budget may cap lower).
+        Hard batch-occupancy cap (``coalesce_units`` may cap lower).
     max_wait:
         Batching window in seconds an admitted request may wait for
         co-batchable traffic (default 2 ms).
     workers:
-        Worker threads executing batches (the batched kernels release
-        the GIL inside NumPy).
+        Worker threads executing batches (the contracting kernels
+        release the GIL inside NumPy).
     process_workers:
         Size of the shared-memory process pool for large sparse
         requests; 0 (default) keeps everything in-process.
@@ -131,20 +123,15 @@ class ServerConfig:
     retries:
         Re-execution attempts after an engine failure or worker death.
     pad_buckets:
-        Pad dense graphs to power-of-two buckets so near-miss sizes
+        Pad node counts to power-of-two buckets so near-miss sizes
         batch together.
     coalesce_units:
         Work budget (``n + 2m`` summed over members) for one coalesced
-        sparse flush; tuned to the knee past which a bigger disjoint
+        flush; tuned to the knee past which a bigger disjoint
         union costs more per member than it amortises.
     cost_model:
-        Explicit :class:`~repro.core.dispatch.CostModel` override.
-    calibration:
-        ``"default"`` uses ``cost_model`` (or the shipped constants);
-        ``"cached"`` loads the calibration cache, measuring once per
-        host (:func:`~repro.core.dispatch.cached_cost_model`);
-        ``"recalibrate"`` forces a fresh measurement and refreshes the
-        cache.
+        Explicit :class:`~repro.core.dispatch.CostModel` override
+        (default: the shipped constants).
     executor:
         ``"inline"`` (default) runs flushed batches on the server's
         worker threads; ``"pool"`` ships them to a persistent
@@ -175,7 +162,6 @@ class ServerConfig:
     pad_buckets: bool = True
     coalesce_units: int = 32_768
     cost_model: Optional[CostModel] = None
-    calibration: str = "default"
     executor: str = "inline"
     cache_bytes: int = 0
     cache_verify: bool = False
@@ -187,11 +173,6 @@ class ServerConfig:
             raise ValueError(
                 f"admission must be one of {ADMISSION_POLICIES}, "
                 f"got {self.admission!r}"
-            )
-        if self.calibration not in CALIBRATION_MODES:
-            raise ValueError(
-                f"calibration must be one of {CALIBRATION_MODES}, "
-                f"got {self.calibration!r}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -220,12 +201,7 @@ class Server:
         elif overrides:
             config = replace(config, **overrides)
         self.config = config
-        if config.calibration == "default":
-            self.cost_model = config.cost_model or DEFAULT_COST_MODEL
-        else:
-            self.cost_model = cached_cost_model(
-                recalibrate=(config.calibration == "recalibrate")
-            )
+        self.cost_model = config.cost_model or DEFAULT_COST_MODEL
         self.metrics = ServeMetrics()
         self._planner = BatchPlanner(
             max_batch=config.max_batch,
@@ -295,7 +271,6 @@ class Server:
         )
         try:
             solve_coalesced([tiny, tiny], "contracting")
-            solve_dense_stack([np.zeros((2, 2), dtype=np.int8)], 2)
         except Exception:  # noqa: BLE001 -- warming is best-effort only
             pass
 
@@ -368,9 +343,11 @@ class Server:
                 raise ValueError(
                     f"adjacency must be square, got shape {mat.shape}"
                 )
-            # the edge count of a dense matrix is an O(n^2) reduction;
-            # leave it unmeasured until something actually prices it
-            n, m, sparse = mat.shape[0], None, False
+            # flushes are capped by n + 2m, so count the edges now: one
+            # pass over the matrix, outside the lock the planner runs under
+            m = (int(np.count_nonzero(mat))
+                 - int(np.count_nonzero(np.diagonal(mat)))) // 2
+            n, sparse = mat.shape[0], False
         now = time.monotonic()
         budget = request.deadline
         if budget is None:
@@ -636,23 +613,13 @@ class Server:
         key = self._planner.key_for(runnable[0])
         mean_m = sample_mean_m(runnable)
         engine = self._planner.choose_batch_engine(key, occupancy, mean_m)
-        batched = (key.kind == "dense" and engine == "batched")
-        coalesced = (occupancy > 1 and engine == "contracting")
-        if batched or coalesced:
+        if occupancy > 1 and engine == "contracting":
             pooled = (self._pool is not None
                       and self._planner.pool_pays(key, occupancy, mean_m))
+            graphs = [p.request.graph for p in runnable]
             try:
-                if batched:
-                    mats = [as_dense_matrix(p.request.graph)
-                            for p in runnable]
-                    labels = (self._pool.solve_dense_stack(mats, key.size)
-                              if pooled
-                              else solve_dense_stack(mats, key.size))
-                else:
-                    graphs = [p.request.graph for p in runnable]
-                    labels = (self._pool.solve_coalesced(graphs, engine)
-                              if pooled
-                              else solve_coalesced(graphs, engine))
+                labels = (self._pool.solve_coalesced(graphs, engine)
+                          if pooled else solve_coalesced(graphs, engine))
             except Exception as exc:  # noqa: BLE001 -- batch-level fallback
                 if isinstance(exc, WorkerDied):
                     self.metrics.record_worker_restart()
@@ -665,13 +632,10 @@ class Server:
             self._resolve_ok_batch(runnable, labels, engine, started)
             return
         for pending in runnable:
-            self._run_solo(pending, started,
-                           engine=engine if occupancy == 1 else None)
+            self._run_solo(pending, started, engine=engine)
 
     def _solo_engine(self, pending: PendingRequest) -> str:
-        return choose_engine(
-            pending.n, pending.m, batch_size=1, model=self.cost_model
-        )
+        return choose_engine(pending.n, pending.m, model=self.cost_model)
 
     def _run_solo(
         self,

@@ -2,12 +2,11 @@
 
 Two tiers, matching where the work is actually bound:
 
-* **In-process (threads).**  The dense batched kernels and the sparse
-  engines are NumPy-bound -- they release the GIL inside the array ops
-  -- so the server's worker *threads* (a plain
-  ``concurrent.futures.ThreadPoolExecutor``) run them directly via
-  :func:`solve_dense_stack` / :func:`solve_coalesced` /
-  :func:`solve_solo`.  No serialisation, no process boundary.
+* **In-process (threads).**  The engines are NumPy-bound -- they
+  release the GIL inside the array ops -- so the server's worker
+  *threads* (a plain ``concurrent.futures.ThreadPoolExecutor``) run
+  them directly via :func:`solve_coalesced` / :func:`solve_solo`.  No
+  serialisation, no process boundary.
 * **Out-of-process (optional).**  Very large sparse requests spend real
   Python time in the contraction bookkeeping; :class:`SparseProcessPool`
   moves them to worker processes, shipping the edge arrays through the
@@ -18,12 +17,17 @@ Two tiers, matching where the work is actually bound:
   :class:`WorkerDied`; the pool replaces itself and the server retries
   the request, so one lost worker costs one retry, not the server.
 
-Dense stacks may be *padded*: a bucket of node count ``S`` can hold
-graphs with ``n <= S``, embedded in the top-left corner of a zeroed
-``S x S`` adjacency.  The padding vertices are isolated and numbered
-``>= n``, so they can never become the minimum representative of a real
-component -- slicing the first ``n`` labels recovers exactly the
-unpadded result (asserted against the oracle in the tests).
+:func:`solve_dense_stack` runs same-bucket dense graphs as one stacked
+:class:`~repro.core.batched.BatchedGCA` field.  The serve planner no
+longer ships it (coalesced contracting was as fast, within host noise,
+or faster: EXPERIMENTS.md, E28); it stays because
+``perfbench/serve_wire.py`` still wraps it.  A stack may be
+*padded*: a bucket of node count ``S`` can hold graphs with ``n <= S``,
+embedded in the top-left corner of a zeroed ``S x S`` adjacency.  The
+padding vertices are isolated and numbered ``>= n``, so they can never
+become the minimum representative of a real component -- slicing the
+first ``n`` labels recovers exactly the unpadded result (asserted
+against the oracle in the tests).
 """
 
 from __future__ import annotations
@@ -51,13 +55,6 @@ from repro.serve.request import GraphLike
 
 class WorkerDied(RuntimeError):
     """A process worker died mid-request; the pool has been replaced."""
-
-
-def as_dense_matrix(graph: GraphLike) -> np.ndarray:
-    """The dense 0/1 adjacency array of a dense-tier request."""
-    if isinstance(graph, AdjacencyMatrix):
-        return graph.matrix
-    return AdjacencyMatrix(np.asarray(graph)).matrix
 
 
 def pad_matrix(matrix: np.ndarray, size: int) -> np.ndarray:

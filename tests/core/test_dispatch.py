@@ -1,6 +1,6 @@
-"""Tests for the adaptive engine dispatcher and its cost model."""
+"""Tests for the engine dispatcher's three-rule table."""
 
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,63 +11,25 @@ from repro.core.api import _probed_cost_model, connected_components
 from repro.core.dispatch import (
     DISPATCHABLE,
     CostModel,
-    calibrate,
     choose_engine,
     explain_choice,
-    predict_costs,
+    host_fingerprint,
+    predict_memory,
+    probe_available_memory,
 )
-from repro.graphs.components import canonical_labels
-from repro.graphs.generators import random_graph
+from repro.graphs.components import canonical_labels, components_union_find
+from repro.graphs.generators import complete_graph, random_graph
 from repro.graphs.union_find import UnionFind
 from repro.hirschberg.edgelist import random_edge_list
 from repro.serve.scheduler import BatchPlanner, BucketKey
 
 
-class TestPredictCosts:
-    def test_all_engines_priced(self):
-        costs = predict_costs(64, 200)
-        assert set(costs) == set(DISPATCHABLE)
-        assert all(v > 0 for v in costs.values())
-
-    def test_batched_requires_batch(self):
-        assert predict_costs(16, 30, batch_size=1)["batched"] == float("inf")
-        assert predict_costs(16, 30, batch_size=8)["batched"] < float("inf")
-
-    def test_memory_gates_dense_engines(self):
-        tiny_budget = CostModel(memory_budget=1024.0)
-        costs = predict_costs(10_000, 20_000, model=tiny_budget)
-        assert costs["vectorized"] == float("inf")
-        assert costs["interpreter"] == float("inf")
-        # the in-RAM sparse engine is gated by the same budget...
-        assert costs["contracting"] == float("inf")
-        # ...while the out-of-core engine stays feasible at any budget
-        assert costs["sharded"] < float("inf")
-
-    def test_memory_gate_thresholds_are_the_predicted_bytes(self):
-        from repro.core.dispatch import predict_memory
-
-        n, m = 10_000, 20_000
-        need = predict_memory(n, m)["contracting"]
-        fits = CostModel(memory_budget=need)
-        tight = CostModel(memory_budget=need - 1)
-        assert predict_costs(n, m, model=fits)["contracting"] < float("inf")
-        assert predict_costs(n, m, model=tight)["contracting"] == float("inf")
-
-    def test_sharded_priced_but_never_preferred_in_ram(self):
-        # with the shipped budget, small and mid workloads never pick
-        # the disk path: its fixed overhead dominates
-        for n, m in ((64, 200), (20_000, 30_000), (2_000_000, 6_000_000)):
-            costs = predict_costs(n, m)
-            assert costs["sharded"] < float("inf")
-            assert costs["contracting"] < costs["sharded"]
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            predict_costs(0, 1)
-        with pytest.raises(ValueError):
-            predict_costs(4, -1)
-        with pytest.raises(ValueError):
-            predict_costs(4, 1, batch_size=0)
+def _oracle_sparse(g) -> np.ndarray:
+    uf = UnionFind(g.n)
+    half = g.src.size // 2
+    for u, v in zip(g.src[:half].tolist(), g.dst[:half].tolist()):
+        uf.union(u, v)
+    return uf.canonical_labels()
 
 
 class TestChooseEngine:
@@ -88,13 +50,74 @@ class TestChooseEngine:
             choose_engine(10_000, 100, model=tiny, require_instrumentation=True)
 
     def test_respects_model_override(self):
-        # a model where the dense field is free and contraction absurd
-        rigged = CostModel(
-            vectorized_gen_dispatch=1e-15, vectorized_cell_gen=1e-15,
-            contracting_unit=1.0, contracting_level_dispatch=1.0,
-        )
-        assert choose_engine(1000, 2000) == "contracting"
-        assert choose_engine(1000, 2000, model=rigged) == "vectorized"
+        # a graph the shipped 2 GiB budget cannot hold fits a 1 TB one
+        roomy = CostModel(memory_budget=1e12)
+        assert choose_engine(50_000_000, 1_000_000_000) == "sharded"
+        assert choose_engine(50_000_000, 1_000_000_000, model=roomy) \
+            == "contracting"
+
+
+class TestRuleTable:
+    """``auto`` is ``contracting`` wherever it fits, dense input and
+    complete graphs included, and its labels match the oracle."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_auto_contracts_complete_graphs(self, n):
+        g = complete_graph(n)
+        res = connected_components(g, engine="auto")
+        assert res.method == "contracting"
+        assert np.array_equal(res.labels, components_union_find(g))
+
+    def test_auto_contracts_a_dense_half_graph(self):
+        g = random_graph(1024, 0.5, seed=4)
+        res = connected_components(g.matrix, engine="auto")
+        assert res.method == "contracting"
+        assert np.array_equal(res.labels, components_union_find(g))
+
+    def test_over_budget_maps_to_sharded(self):
+        need = predict_memory(10_000, 20_000)["contracting"]
+        assert choose_engine(10_000, 20_000,
+                             model=CostModel(memory_budget=need)) \
+            == "contracting"
+        assert choose_engine(10_000, 20_000,
+                             model=CostModel(memory_budget=need - 1)) \
+            == "sharded"
+
+    def test_sharded_only_when_contracting_does_not_fit(self):
+        # with the shipped budget, small to large in-RAM workloads never
+        # take the disk path
+        for n, m in ((64, 200), (20_000, 30_000), (2_000_000, 6_000_000)):
+            assert choose_engine(n, m) == "contracting"
+            assert "sharded" in explain_choice(n, m)["feasible"]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            choose_engine(0, 1)
+        with pytest.raises(ValueError):
+            predict_memory(4, -1)
+
+    def test_cost_model_is_small(self):
+        assert len(fields(CostModel)) <= 8
+
+
+class TestPredictCosts:
+    """The memory gate: an engine whose predicted bytes exceed the
+    budget is infeasible."""
+
+    def test_memory_gates_dense_engines(self):
+        tiny_budget = CostModel(memory_budget=1024.0)
+        need = predict_memory(10_000, 20_000, model=tiny_budget)
+        feasible = explain_choice(10_000, 20_000,
+                                  model=tiny_budget)["feasible"]
+        assert "vectorized" not in feasible
+        assert need["interpreter"] > tiny_budget.memory_budget
+        assert "interpreter" not in feasible
+        # the in-RAM sparse engine is gated by the same budget...
+        assert need["contracting"] > tiny_budget.memory_budget
+        assert "contracting" not in feasible
+        # ...while the out-of-core engine stays feasible at any budget
+        assert need["sharded"] <= tiny_budget.memory_budget
+        assert "sharded" in feasible
 
 
 class TestExplainChoice:
@@ -102,7 +125,20 @@ class TestExplainChoice:
         doc = explain_choice(64, 100)
         assert doc["n"] == 64 and doc["m"] == 100
         assert doc["choice"] in doc["feasible"]
-        assert set(doc["predicted_seconds"]) == set(DISPATCHABLE)
+        assert set(doc["predicted_seconds"]) == {doc["choice"]}
+
+    def test_contract_read_by_the_benchmark(self):
+        """``perfbench/solve_random.py`` reads these keys and divides
+        ``predicted_seconds[choice]`` by the measured solve."""
+        model = CostModel(contracting_unit=1e-7)
+        doc = explain_choice(1_000, 5_000, model=model)
+        assert set(doc) == {
+            "n", "m", "predicted_seconds", "memory", "feasible", "choice",
+        }
+        assert doc["choice"] == "contracting"
+        assert doc["predicted_seconds"]["contracting"] == pytest.approx(
+            (1_000 + 2 * 5_000) * 1e-7)
+        assert set(doc["memory"]) == {"budget_bytes", "predicted_bytes"}
 
     def test_infeasible_excluded(self):
         tiny = CostModel(memory_budget=1024.0)
@@ -113,8 +149,6 @@ class TestExplainChoice:
         assert doc["choice"] == "sharded"
 
     def test_reports_memory_dimension(self):
-        from repro.core.dispatch import predict_memory
-
         doc = explain_choice(10_000, 20_000)
         memory = doc["memory"]
         assert memory["budget_bytes"] == CostModel().memory_budget
@@ -145,16 +179,12 @@ class TestDecisionGridCorrectness:
     def test_sparse_grid(self, n, m):
         g = random_edge_list(n, m, seed=n)
         res = connected_components(g, engine="auto")
-        uf = UnionFind(g.n)
-        half = g.src.size // 2
-        for u, v in zip(g.src[:half].tolist(), g.dst[:half].tolist()):
-            uf.union(u, v)
-        assert np.array_equal(res.labels, uf.canonical_labels())
+        assert np.array_equal(res.labels, _oracle_sparse(g))
 
     def test_every_forced_engine_agrees_with_auto(self):
         g = random_graph(24, 0.2, seed=9)
         auto = connected_components(g, engine="auto").labels
-        for engine in DISPATCHABLE:
+        for engine in DISPATCHABLE + ("batched", "vectorized"):
             forced = connected_components(g, engine=engine).labels
             assert np.array_equal(forced, auto), engine
 
@@ -173,15 +203,9 @@ class TestMemoryRouting:
         res = connected_components(g, engine="auto", cost_model=tight)
         assert res.method == "sharded"
         assert res.requested_method == "auto"
-        uf = UnionFind(g.n)
-        half = g.src.size // 2
-        for u, v in zip(g.src[:half].tolist(), g.dst[:half].tolist()):
-            uf.union(u, v)
-        assert np.array_equal(res.labels, uf.canonical_labels())
+        assert np.array_equal(res.labels, _oracle_sparse(g))
 
     def test_probe_available_memory_is_sane(self):
-        from repro.core.dispatch import probe_available_memory
-
         probed = probe_available_memory()
         assert isinstance(probed, int)
         assert probed > 1 << 20  # any real host has more than 1 MiB free
@@ -189,173 +213,15 @@ class TestMemoryRouting:
     def test_probe_default_passthrough(self):
         from unittest import mock
 
-        from repro.core.dispatch import probe_available_memory
-
         with mock.patch("builtins.open", side_effect=OSError):
             assert probe_available_memory(default=12345) == 12345
 
 
-class TestCalibrate:
-    def test_returns_positive_constants(self):
-        model = calibrate(seconds_budget=0.5)
-        assert isinstance(model, CostModel)
-        for field in ("interpreter_cell_gen", "vectorized_gen_dispatch",
-                      "vectorized_cell_gen", "batched_cell_gen",
-                      "contracting_unit", "contracting_level_dispatch"):
-            assert getattr(model, field) > 0, field
-
-    def test_calibrated_model_still_dispatches(self):
-        model = calibrate(seconds_budget=0.5)
-        assert choose_engine(1_000_000, 5_000_000, model=model) in DISPATCHABLE
-
-
-class TestCostModelCache:
-    """Persistence of calibrated cost models (cached_cost_model)."""
-
-    def _fast_calibrate(self, monkeypatch, marker=123.0):
-        import repro.core.dispatch as dispatch
-
-        calls = {"count": 0}
-
-        def fake_calibrate(seconds_budget=1.0):
-            calls["count"] += 1
-            return CostModel(request_overhead=marker)
-
-        monkeypatch.setattr(dispatch, "calibrate", fake_calibrate)
-        return calls
-
-    def test_cache_path_respects_env_override(self, tmp_path, monkeypatch):
-        from repro.core.dispatch import default_cache_path
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert default_cache_path() == tmp_path / "costmodel.json"
-
-    def test_save_then_load_round_trips(self, tmp_path):
-        from repro.core.dispatch import load_cost_model, save_cost_model
-
-        model = CostModel(request_overhead=42.0)
-        path = save_cost_model(model, tmp_path / "cm.json")
-        assert path.exists()
-        loaded = load_cost_model(path)
-        assert loaded is not None
-        assert loaded.request_overhead == 42.0
-
-    def test_load_missing_returns_none(self, tmp_path):
-        from repro.core.dispatch import load_cost_model
-
-        assert load_cost_model(tmp_path / "absent.json") is None
-
-    def test_load_corrupt_returns_none(self, tmp_path):
-        from repro.core.dispatch import load_cost_model
-
-        path = tmp_path / "cm.json"
-        path.write_text("{not json")
-        assert load_cost_model(path) is None
-
-    def test_load_wrong_version_returns_none(self, tmp_path):
-        import json
-
-        from repro.core.dispatch import load_cost_model
-
-        path = tmp_path / "cm.json"
-        path.write_text(json.dumps({"version": -1, "constants": {}}))
-        assert load_cost_model(path) is None
-
-    def test_load_ignores_unknown_constants(self, tmp_path):
-        import json
-
-        from repro.core.dispatch import (
-            _CACHE_VERSION,
-            host_fingerprint,
-            load_cost_model,
-        )
-
-        path = tmp_path / "cm.json"
-        path.write_text(json.dumps({
-            "version": _CACHE_VERSION,
-            "host": host_fingerprint(),
-            "constants": {"request_overhead": 7.0, "not_a_field": 1.0},
-        }))
-        loaded = load_cost_model(path)
-        assert loaded is not None
-        assert loaded.request_overhead == 7.0
-
-    def test_load_cache_with_removed_fields(self, tmp_path):
-        """A cache written while the model still priced the edge-list
-        and chunk-parallel engines loads; the retired constants drop."""
-        import json
-
-        from repro.core.dispatch import (
-            _CACHE_VERSION,
-            host_fingerprint,
-            load_cost_model,
-        )
-
-        retired = {
-            "scatter_edge": 1.3e-8,
-            "edgelist_iter_dispatch": 1.2e-5,
-            "parallel_round_sync": 4.0e-3,
-            "parallel_rounds": 5.0,
-            "parallel_combine_node": 1.5e-9,
-            "parallel_workers": 2.0,
-        }
-        constants = {**asdict(CostModel()), **retired,
-                     "contracting_unit": 5.0e-8}
-        path = tmp_path / "cm.json"
-        path.write_text(json.dumps({
-            "version": _CACHE_VERSION,
-            "saved_at": 0.0,
-            "host": host_fingerprint(),
-            "constants": constants,
-        }))
-        loaded = load_cost_model(path)
-        assert loaded == CostModel(contracting_unit=5.0e-8)
-
-    def test_load_foreign_host_returns_none(self, tmp_path):
-        """Satellite: a calibration cache carried to a different core
-        count (or arch) must recalibrate, not misprice dispatch."""
-        import json
-
-        from repro.core.dispatch import (
-            host_fingerprint,
-            load_cost_model,
-            save_cost_model,
-        )
-
-        path = save_cost_model(CostModel(), tmp_path / "cm.json")
-        assert load_cost_model(path) is not None
-        payload = json.loads(path.read_text())
-        assert payload["host"] == host_fingerprint()
-        payload["host"]["cpu_count"] = (payload["host"]["cpu_count"] or 0) + 64
-        path.write_text(json.dumps(payload))
-        assert load_cost_model(path) is None
-        # and a cache missing the host stamp entirely is equally stale
-        del payload["host"]
-        path.write_text(json.dumps(payload))
-        assert load_cost_model(path) is None
-
-    def test_cached_calibrates_once(self, tmp_path, monkeypatch):
-        from repro.core.dispatch import cached_cost_model
-
-        calls = self._fast_calibrate(monkeypatch)
-        path = tmp_path / "cm.json"
-        first = cached_cost_model(path)
-        second = cached_cost_model(path)
-        assert calls["count"] == 1  # second call served from the cache
-        assert first.request_overhead == second.request_overhead == 123.0
-
-    def test_recalibrate_escape_hatch(self, tmp_path, monkeypatch):
-        from repro.core.dispatch import cached_cost_model
-
-        calls = self._fast_calibrate(monkeypatch)
-        path = tmp_path / "cm.json"
-        cached_cost_model(path)
-        cached_cost_model(path, recalibrate=True)
-        assert calls["count"] == 2  # forced fresh measurement
-
-    def test_calibrate_measures_request_overhead(self):
-        model = calibrate(seconds_budget=0.05)
-        assert model.request_overhead > 0
+class TestHostFingerprint:
+    def test_names_the_facts_a_measurement_depends_on(self):
+        host = host_fingerprint()
+        assert set(host) == {"cpu_count", "machine", "system"}
+        assert host["cpu_count"] >= 1
 
 
 class TestParallelDispatch:
@@ -392,35 +258,33 @@ _MODELS = st.one_of(
 
 
 class TestDispatchSet:
-    """``auto`` and the serve planner choose only among engines that won
-    a measured point: never the edge-list or the chunk-parallel engine."""
-
-    RETIRED = ("edgelist", "parallel")
+    """``auto`` and the serve planner choose only from the rule table:
+    contracting, sharded or (on request) the interpreter."""
 
     def test_dispatchable_engines(self):
-        assert DISPATCHABLE == (
-            "contracting", "batched", "vectorized", "interpreter", "sharded",
-        )
+        assert DISPATCHABLE == ("contracting", "interpreter", "sharded")
 
     @settings(max_examples=300, deadline=None)
-    @example(n=512, m=60_000, batch_size=1, model=CostModel())
+    @example(n=512, m=130_816, batch_size=1, model=CostModel())
     @given(n=st.integers(1, 10**8), m=st.integers(0, 10**9),
            batch_size=st.integers(1, 512), model=_MODELS)
     def test_never_retired_engines(self, n, m, batch_size, model):
-        assert choose_engine(n, m, batch_size=batch_size, model=model) \
-            not in self.RETIRED
-        assert not set(self.RETIRED) & set(
-            explain_choice(n, m, batch_size=batch_size,
-                           model=model)["predicted_seconds"])
+        rule_table = {"contracting", "sharded"}
+        assert choose_engine(n, m, model=model) in rule_table
+        doc = explain_choice(n, m, model=model)
+        assert set(doc["predicted_seconds"]) == {doc["choice"]} <= rule_table
         planner = BatchPlanner(model=model)
-        sparse = BucketKey("sparse", n)
-        assert set(planner._priced(sparse, batch_size, m)) == {"contracting"}
-        dense = BucketKey("dense", n)
-        assert planner.choose_batch_engine(dense, batch_size, m) \
-            not in self.RETIRED
+        for kind in ("sparse", "dense"):
+            engine = planner.choose_batch_engine(BucketKey(kind, n),
+                                                 batch_size, m)
+            assert engine in rule_table
+            if batch_size > 1:
+                assert engine == "contracting"
 
     def test_auto_contracts_a_big_sparse_graph(self):
         """The graph size where the parallel engine used to win the
         cost model on a multi-core host."""
         g = random_edge_list(200_000, 1_000_000, seed=1)
-        assert connected_components(g, engine="auto").method == "contracting"
+        res = connected_components(g, engine="auto")
+        assert res.method == "contracting"
+        assert np.array_equal(res.labels, _oracle_sparse(g))

@@ -53,8 +53,9 @@ class TestPoolExecutor:
         assert pool.inflight == 0
 
     def test_dense_stack_matches_oracle(self, pool):
+        """A flush of dense members ships as one coalesced union."""
         graphs = [random_graph(n, 0.3, seed=n) for n in (3, 5, 8)]
-        labels = pool.solve_dense_stack([g.matrix for g in graphs], 8)
+        labels = pool.solve_coalesced([g.matrix for g in graphs])
         for g, vec in zip(graphs, labels):
             assert vec.shape == (g.n,)
             assert np.array_equal(vec, components_union_find(g))
@@ -72,7 +73,7 @@ class TestPoolExecutor:
         )
 
     def test_empty_batches(self, pool):
-        assert pool.solve_dense_stack([], 8) == []
+        assert pool.solve_coalesced([]) == []
         (empty,) = pool.solve_coalesced(
             [EdgeListGraph(n=0, src=np.empty(0, dtype=np.int64),
                            dst=np.empty(0, dtype=np.int64))]
@@ -96,6 +97,19 @@ class TestPoolExecutor:
     def test_calibration_measures_overhead(self):
         with PoolExecutor(workers=1, calibrate=True) as pool:
             assert pool.measured_overhead > 0.0
+
+    def test_calibration_times_the_task_the_planner_ships(self, monkeypatch):
+        shipped = []
+        real = PoolExecutor.solve_coalesced
+
+        def spy(self, graphs, engine="contracting"):
+            shipped.append(engine)
+            return real(self, graphs, engine)
+
+        monkeypatch.setattr(PoolExecutor, "solve_coalesced", spy)
+        with PoolExecutor(workers=1, calibrate=True) as pool:
+            assert pool.measured_overhead > 0.0
+        assert shipped and set(shipped) == {"contracting"}
 
     def test_context_manager_shutdown_leaves_no_segments(self):
         before = live_segments()

@@ -92,12 +92,12 @@ class TestBucketing:
         members = [_pending(n=1000, m=2000)]
         assert planner.bucket_cap(BucketKey("sparse", 1000), members) == 1
 
-    def test_dense_cap_respects_memory_budget(self):
-        small = CostModel(memory_budget=100_000.0)
-        planner = BatchPlanner(model=small)
-        cap = planner.bucket_cap(BucketKey("dense", 64))
-        expected = int(100_000 // (64 * 65 * small.dense_bytes_per_cell))
-        assert cap == max(1, expected)
+    def test_dense_cap_respects_coalesce_units(self):
+        planner = BatchPlanner(coalesce_units=1_000)
+        g = np.zeros((16, 16), dtype=np.int8)
+        g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = 1  # 16 + 2 * 2 units
+        members = [_pending(n=16, sparse=False, graph=g) for _ in range(9)]
+        assert planner.bucket_cap(BucketKey("dense", 16), members) == 50
 
     def test_max_batch_clamps(self):
         planner = BatchPlanner(max_batch=3)
@@ -121,6 +121,15 @@ class TestPoolPays:
         model = CostModel(pool_dispatch_overhead=0.0)
         planner = BatchPlanner(model=model)
         assert not planner.pool_pays(BucketKey("dense", 0), 1, 0.0)
+
+    def test_one_constant_estimate_separates_tiny_from_large(self):
+        """Under the shipped model, a flush of tiny graphs stays inline
+        and a flush of large ones rides the pool."""
+        planner = BatchPlanner()
+        assert not planner.pool_pays(BucketKey("sparse", 8), 4, 16.0)
+        assert not planner.pool_pays(BucketKey("dense", 64), 8, 200.0)
+        assert planner.pool_pays(BucketKey("sparse", 4096), 64, 16_384.0)
+        assert planner.pool_pays(BucketKey("dense", 1024), 2, 260_000.0)
 
     def test_break_even_is_twice_the_overhead(self):
         planner = BatchPlanner(model=CostModel(pool_dispatch_overhead=1.0))
@@ -160,6 +169,20 @@ class TestFlushTriggers:
         # window far from closing, but the deadline is about to pass
         flushes = planner.take_ready(now=100.0)
         assert [len(b) for b in flushes] == [1]
+
+    def test_deadline_pressure_separates_tiny_from_large(self):
+        """The same 10 ms of slack is plenty for a tiny graph but not
+        for 900k units of contraction."""
+        planner = BatchPlanner(max_wait=10.0, deadline_margin=0.0)
+        tiny = _pending(n=8, m=16, submitted_at=100.0, deadline_at=100.01)
+        planner.add(tiny)
+        assert planner.take_ready(now=100.0) == []
+        large = _pending(n=100_000, m=400_000, submitted_at=100.0,
+                         deadline_at=100.01,
+                         graph=random_edge_list(8, 16, seed=0))
+        planner.add(large)
+        assert planner.take_ready(now=100.0) == [[large]]
+        assert planner.queued_count() == 1
 
     def test_force_flushes_everything(self):
         planner = BatchPlanner(max_wait=10.0)
@@ -247,9 +270,23 @@ class TestEngineChoice:
     def test_dense_batch_prefers_a_batching_strategy(self):
         planner = BatchPlanner()
         engine = planner.choose_batch_engine(BucketKey("dense", 16), 32, 24)
-        # either the stacked dense field or the coalesced sparse union --
-        # both amortise; the point is it must not fall back to solo
-        assert engine in ("batched", "contracting")
+        # the coalesced union, never the stacked field or solo runs
+        assert engine == "contracting"
+
+    def test_dense_batch_coalesces_at_any_size(self):
+        planner = BatchPlanner()
+        for size in (8, 128, 1024):
+            full = size * (size - 1) / 2
+            assert planner.choose_batch_engine(
+                BucketKey("dense", size), 2, full) == "contracting"
+
+    def test_solo_request_follows_the_rule_table(self):
+        tight = CostModel(memory_budget=1e6)
+        planner = BatchPlanner(model=tight)
+        assert planner.choose_batch_engine(
+            BucketKey("sparse", 100_000), 1, 400_000) == "sharded"
+        assert planner.choose_batch_engine(
+            BucketKey("sparse", 100_000), 2, 400_000) == "contracting"
 
     def test_estimate_scales_with_occupancy(self):
         planner = BatchPlanner()

@@ -72,8 +72,6 @@ class TestLifecycle:
             ServerConfig(admission="drop")
         with pytest.raises(ValueError, match="max_queue"):
             ServerConfig(max_queue=0)
-        with pytest.raises(ValueError, match="calibration"):
-            ServerConfig(calibration="never")
 
 
 class TestCorrectness:
@@ -89,6 +87,33 @@ class TestCorrectness:
         responses = serve_many(graphs, config=_quick_config())
         for g, resp in zip(graphs, responses):
             assert resp.status is RequestStatus.OK
+            assert np.array_equal(resp.labels, _oracle(g))
+
+    def test_dense_bucket_coalesces_padded_sizes(self):
+        """Dense graphs of 9..16 nodes share the padded 16-node bucket;
+        the flush runs one coalesced contracting solve, no stacked
+        field, and every member keeps its own size."""
+        graphs = [random_graph(n, 0.3, seed=n) for n in range(9, 17)]
+        graphs += [random_graph(16, 1.0, seed=0), random_graph(12, 0.0)]
+        config = _quick_config(max_wait=0.5)
+        with Server(config) as server:
+            handles = [server.submit(g) for g in graphs]
+            responses = [h.response(timeout=10.0) for h in handles]
+        for g, resp in zip(graphs, responses):
+            assert resp.status is RequestStatus.OK
+            assert resp.engine == "contracting"
+            assert resp.batch_size == len(graphs)
+            assert np.array_equal(resp.labels, _oracle(g))
+
+    def test_dense_flushes_respect_coalesce_units(self):
+        """Dense edges are counted at submission, so a dense flush is
+        capped by ``n + 2m`` like a sparse one."""
+        graphs = [random_graph(16, 1.0, seed=s) for s in range(6)]
+        # 16 + 2 * 120 = 256 units each -> two members per flush
+        config = _quick_config(max_wait=0.5, coalesce_units=512)
+        responses = serve_many(graphs, config=config)
+        assert [r.batch_size for r in responses] == [2] * 6
+        for g, resp in zip(graphs, responses):
             assert np.array_equal(resp.labels, _oracle(g))
 
     def test_mixed_sizes_and_kinds(self):

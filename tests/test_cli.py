@@ -44,6 +44,13 @@ class TestSolve:
         assert main(["solve", "--random", "5", "--p", "0.5", "--seed", "3",
                      "--method", method]) == 0
 
+    def test_auto_picks_contracting_on_a_complete_graph(self, capsys):
+        assert main(["solve", "--random", "512", "--p", "1.0", "--seed", "1",
+                     "--method", "auto"]) == 0
+        out = capsys.readouterr().out
+        assert "method = auto -> contracting" in out
+        assert "components: 1" in out
+
     def test_early_exit_flag(self, capsys):
         assert main(["solve", "--random", "12", "--p", "0.4", "--seed", "1",
                      "--early-exit"]) == 0
@@ -105,6 +112,15 @@ class TestParser:
     def test_help_smoke(self):
         parser = build_parser()
         assert "solve" in parser.format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--listen", "127.0.0.1:0"], ["serve-bench"],
+    ])
+    def test_no_calibration_flag(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--calibration", "cached"])
+        assert "unrecognized arguments: --calibration" in (
+            capsys.readouterr().err)
 
 
 class TestClosure:
