@@ -155,7 +155,9 @@ class ShardedResult:
 
     @property
     def components(self) -> int:
-        return int(np.unique(self.labels).size)
+        """Component count: the labels are canonical, so the fixed points."""
+        labels = self.labels
+        return int(np.count_nonzero(labels == np.arange(labels.size)))
 
 
 def _as_stream(
