@@ -4,7 +4,8 @@ Measures graphs/second for the same workload (a batch of same-size random
 graphs) on four execution strategies:
 
 * ``single``        -- loop :func:`repro.core.vectorized.run_vectorized`
-  over the batch, full schedule;
+  over the batch, full schedule (the batched kernel at ``B = 1``, so
+  ``batched`` vs ``single`` isolates the batching gain);
 * ``single_early``  -- same loop with ``early_exit=True``;
 * ``batched``       -- one :class:`repro.core.batched.BatchedGCA` call,
   full schedule;

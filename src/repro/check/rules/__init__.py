@@ -7,7 +7,6 @@ CROW001   error     a GCA rule method mutates its cell/neighbor view
 CROW002   error     a GCA rule method mutates shared state through ``self``
 CROW003   error     a Hirschberg step function mutates an input vector
 DB101     warning   allocation inside a generation loop of a kernel module
-DB102     error     a fused kernel reads the spare (write) buffer
 DB103     error     ``apply_generation`` mutates the read-only field ``D``
 SHM201    error     a shared-memory acquisition that can never be released
 SHM202    warning   consecutive shm acquisitions without an error-path guard
@@ -47,7 +46,6 @@ from repro.check.rules.crow import (
 from repro.check.rules.double_buffer import (
     LoopAllocationRule,
     ReadFieldWriteRule,
-    WriteBufferReadRule,
 )
 from repro.check.rules.concurrency import (
     ChunkOwnerWriteRule,
@@ -78,7 +76,6 @@ _ALL = (
     SelfStateWriteRule,
     StepInplaceRule,
     LoopAllocationRule,
-    WriteBufferReadRule,
     ReadFieldWriteRule,
     UnreleasedSegmentRule,
     UnguardedMultiAcquireRule,

@@ -1,22 +1,18 @@
-"""Double-buffer hygiene rules for the vectorised kernel modules.
+"""Hygiene rules for the dense-field kernel modules.
 
-The fused engines (:mod:`repro.core.vectorized`,
-:mod:`repro.core.batched`) get their speed from three disciplines:
+The field engines (:mod:`repro.core.vectorized`,
+:mod:`repro.core.batched`) rely on two disciplines:
 
-* the generation loop is **allocation-free** -- every buffer is
-  preallocated in a workspace and reused (DB101);
-* broadcast generations write the spare buffer and ping-pong; the spare
-  holds **stale garbage** until the write, so it must never be *read*
-  within a generation (DB102);
+* the fused kernel's generation loop is **allocation-free** -- every
+  buffer is preallocated and reused (DB101);
 * the pure per-generation transform (:func:`apply_generation`) takes
   the field ``D`` read-only and returns a new array -- the
   interpreter cross-validation depends on ``D`` surviving the call
   (DB103).
 
 DB101 is path-scoped to the kernel modules (allocation in a loop is
-perfectly normal elsewhere); DB102/DB103 are structural on the kernel
-signatures (``(cur, other)`` / ``apply_generation*(D, ...)``) and run
-everywhere.
+perfectly normal elsewhere); DB103 is structural on the
+``apply_generation*(D, ...)`` signature and runs everywhere.
 """
 
 from __future__ import annotations
@@ -63,9 +59,9 @@ def _allocator_call(node: ast.Call) -> Optional[str]:
 class LoopAllocationRule(LintRule):
     """DB101: an array allocation inside a generation loop.
 
-    Scoped to the kernel modules by basename.  Hoist the buffer into the
-    workspace, or suppress with a reason when the allocation is on an
-    opt-in slow path (snapshots, instrumentation, retirement).
+    Scoped to the kernel modules by basename.  Hoist the buffer out of
+    the loop, or suppress with a reason when the allocation is on an
+    opt-in slow path (instrumentation, retirement).
     """
 
     rule_id = "DB101"
@@ -92,43 +88,9 @@ class LoopAllocationRule(LintRule):
                             module,
                             node,
                             f"{name}() allocates inside a generation loop "
-                            f"of {fn.name!r}; preallocate in the workspace "
+                            f"of {fn.name!r}; preallocate it before the loop "
                             "or write through out=/np.copyto",
                         )
-
-
-class WriteBufferReadRule(LintRule):
-    """DB102: a fused kernel reads the spare (write) buffer.
-
-    In a ``(cur, other)`` double-buffer kernel, ``other`` holds stale
-    data from two generations ago until the broadcast overwrites it;
-    any subscript *load* of ``other`` is reading garbage.
-    """
-
-    rule_id = "DB102"
-    severity = "error"
-    description = "fused kernels must not read the spare write buffer"
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for fn in ast.walk(module.tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            params = set(param_names(fn))
-            if not {"cur", "other"} <= params:
-                continue
-            for node in walk_function(fn):
-                if (
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.ctx, ast.Load)
-                    and root_name(node) == "other"
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"kernel {fn.name!r} reads the spare buffer "
-                        "'other'; it holds stale data until the broadcast "
-                        "write -- read from 'cur' only",
-                    )
 
 
 class ReadFieldWriteRule(LintRule):
@@ -149,9 +111,8 @@ class ReadFieldWriteRule(LintRule):
                 continue
             if not fn.name.startswith("apply_generation"):
                 continue
-            params = set(param_names(fn))
-            if "D" not in params or "other" in params:
-                continue  # the fused (cur, other) variant is in-place by design
+            if "D" not in param_names(fn):
+                continue
             for node in walk_function(fn):
                 if isinstance(node, ast.Assign):
                     targets = node.targets

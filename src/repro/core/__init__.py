@@ -7,8 +7,10 @@
 * :mod:`~repro.core.state_machine` -- the dynamic controller of Figure 2;
 * :mod:`~repro.core.machine` -- the cell-accurate instrumented interpreter;
 * :mod:`~repro.core.row_machine` -- the n-cell design alternative;
-* :mod:`~repro.core.vectorized` -- whole-array execution (fast path);
-* :mod:`~repro.core.batched` -- many graphs per dispatch (throughput path);
+* :mod:`~repro.core.vectorized` -- the per-generation whole-array
+  reference and the single-graph runner;
+* :mod:`~repro.core.batched` -- the fused field kernel, many graphs per
+  dispatch;
 * :mod:`~repro.core.trace` -- generation traces and Figure 3 patterns;
 * :mod:`~repro.core.api` -- the one-call public interface.
 """

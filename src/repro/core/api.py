@@ -12,7 +12,7 @@ Most users want one call::
 * ``"auto"`` (default for :func:`connected_components`) -- the rule
   table in :mod:`repro.core.dispatch`: ``"contracting"``, or
   ``"sharded"`` when its working set would not fit the memory budget;
-* ``"vectorized"`` -- whole-array NumPy execution over the dense field;
+* ``"vectorized"`` -- the dense field's fused kernel at a batch of one;
 * ``"batched"`` -- the stacked batched field (one graph here; shines on
   many graphs via :func:`repro.core.batched.connected_components_batch`);
 * ``"edgelist"`` -- the work-efficient ``O((n + m) log n)`` sparse

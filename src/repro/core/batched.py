@@ -21,10 +21,11 @@ Two entry points:
 * :func:`connected_components_batch` -- the mixed-size convenience API
   that buckets inputs by ``n`` and reassembles the labels in input order.
 
-The per-generation kernels mirror :func:`repro.core.vectorized.apply_generation`
-with a leading batch axis; the test-suite cross-validates the three
-engines (interpreter, vectorised, batched) against each other and the
-union-find oracle.
+:func:`_apply_iteration` is the repository's only fused field kernel:
+:func:`repro.core.vectorized.run_vectorized` runs it at ``B = 1``.  The
+test-suite checks its whole field against generations 1-11 of the
+per-generation reference :func:`repro.core.vectorized.apply_generation`,
+and its labels against the interpreter and the union-find oracle.
 """
 
 from __future__ import annotations
@@ -155,6 +156,21 @@ class BatchedGCA:
                 iterations=self.iterations,
                 iterations_run=np.zeros(B, dtype=np.int64),
                 converged_at_iteration=np.full(B, -1, dtype=np.int64),
+            )
+        if n == 1:
+            # A lone node is its own component and every iteration is a
+            # fixed point.  Generation 11's pointer d*n + 1 reads the
+            # archive row at n = 1, which D[:, :, 1] cannot express.
+            ran = min(self.iterations, 1) if self.early_exit else self.iterations
+            return BatchedResult(
+                labels=np.zeros((B, 1), dtype=np.int64),
+                n=1,
+                batch_size=B,
+                iterations=self.iterations,
+                iterations_run=np.full(B, ran, dtype=np.int64),
+                converged_at_iteration=np.full(
+                    B, 0 if self.early_exit and ran else -1, dtype=np.int64
+                ),
             )
         inf = infinity_for(n)
         subgens = reduction_subgenerations(n)

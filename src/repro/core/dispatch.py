@@ -19,11 +19,11 @@ The paper's field pays ``Theta(n^2)`` cells for every one of its
 host (EXPERIMENTS.md, E28), contracting beat every dense engine at
 least 5x on edge-list input.  On dense adjacency input it was the
 fastest engine except on near-complete graphs at ``n >= 512``, where
-the ``batched`` field led by 1.1-1.8x; the unbatched ``vectorized``
-field was never the fastest.  The dense engines stay selectable by
-name as the reproduction of the paper's architecture (and ``batched``
-as the field path for many same-size graphs); ``edgelist`` and
-``parallel`` stay selectable by name too (E26).
+the ``batched`` field led by 1.1-1.8x.  ``vectorized`` runs the same
+fused field kernel at a batch of one (E30).  The dense engines stay
+selectable by name as the reproduction of the paper's architecture (and
+``batched`` as the field path for many same-size graphs); ``edgelist``
+and ``parallel`` stay selectable by name too (E26).
 
 >>> choose_engine(4, 3, require_instrumentation=True)
 'interpreter'

@@ -7,12 +7,12 @@ is ~1000x slower).  The two implementations are cross-validated by the
 test-suite: after every generation the interpreter's ``D`` must equal the
 vectorised ``D`` cell for cell.
 
-The hot path is **fused and allocation-free**: the runner ping-pongs
-between two preallocated field buffers (``D_a``/``D_b``).  Broadcast
-generations (0/1/5/9) write the whole field into the back buffer and the
-buffers swap; masking generations (2/6) and the column-slice generations
-(3/4/7/8/10/11) update the front buffer in place.  No generation copies
-the full ``(n+1) x n`` field.
+This module is the readable per-generation reference: one function per
+generation number, each returning a fresh field.  The fast path is not
+here.  :func:`run_vectorized` runs the one fused kernel,
+:class:`repro.core.batched.BatchedGCA`, on a batch of one graph; only
+``record_access=True`` runs (the Table 1/2 measurement paths) step
+through :func:`apply_generation` one generation at a time.
 
 The runner can also stop early: every outer iteration is a deterministic
 function of the label column ``D[:n, 0]`` alone (generation 1 rebroadcasts
@@ -35,11 +35,12 @@ giving the Table 1 measurements at sizes the interpreter cannot reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.batched import BatchedGCA
 from repro.core.field import FieldLayout
 from repro.core.schedule import ScheduledGeneration, full_schedule
 from repro.gca.instrumentation import AccessLog, GenerationStats
@@ -157,111 +158,12 @@ def apply_generation(
         new[:n, 0] = c[c]
     elif num == 11:
         c = D[:n, 0]
-        new[:n, 0] = np.minimum(c, D[c, 1])
+        # the pointer d*n + 1 is linear: column 1 of row d, or the archive
+        # row's cell when n == 1
+        new[:n, 0] = np.minimum(c, D.reshape(-1)[c * n + 1])
     else:  # pragma: no cover
         raise ValueError(f"unknown generation number {num}")
     return new
-
-
-# ----------------------------------------------------------------------
-# fused kernels: double-buffered, no full-field copies
-# ----------------------------------------------------------------------
-
-class FieldWorkspace:
-    """Preallocated state for an allocation-free run on one graph.
-
-    Holds the ping-pong field buffers plus the small scratch vectors and
-    boolean masks the fused kernels write through, so the generation loop
-    performs no ``(n+1) x n`` allocation at all.
-    """
-
-    __slots__ = (
-        "front", "back", "col", "prev_labels", "mask", "mask2",
-        "not_adjacent", "row_init",
-    )
-
-    def __init__(self, n: int, A: np.ndarray):
-        self.front = np.zeros((n + 1, n), dtype=np.int64)
-        self.back = np.empty((n + 1, n), dtype=np.int64)
-        self.col = np.empty(n, dtype=np.int64)
-        self.prev_labels = np.empty(n, dtype=np.int64)
-        self.mask = np.empty((n, n), dtype=bool)
-        self.mask2 = np.empty((n, n), dtype=bool)
-        self.not_adjacent = A != 1
-        self.row_init = np.arange(n + 1, dtype=np.int64)[:, None]
-
-
-def _reduction_slices(n: int, sub_generation: int):
-    """``(write, read)`` column slices of one reduction sub-generation.
-
-    Both column sets are arithmetic progressions, so plain slices express
-    them as views -- no fancy-index copies on the reduction ladder.
-    """
-    stride = 1 << sub_generation
-    return slice(0, n - stride, 2 * stride), slice(stride, n, 2 * stride)
-
-
-def apply_generation_fused(
-    sched: ScheduledGeneration,
-    cur: np.ndarray,
-    other: np.ndarray,
-    ws: FieldWorkspace,
-    layout: FieldLayout,
-) -> np.ndarray:
-    """Execute ``sched`` without copying the field.
-
-    ``cur`` holds the field before the generation; ``other`` is the spare
-    buffer.  Returns the buffer holding the field afterwards: ``other``
-    for the whole-field broadcast generations (the buffers ping-pong),
-    ``cur`` for the generations that update in place.
-    """
-    n = layout.n
-    inf = layout.infinity
-    num = sched.number
-    if num == 0:
-        other[:, :] = ws.row_init
-        return other
-    if num == 1:
-        other[:, :] = cur[:n, 0][None, :]
-        return other
-    if num == 2:
-        np.equal(cur[:n, :], cur[n, :, None], out=ws.mask)
-        np.logical_or(ws.mask, ws.not_adjacent, out=ws.mask)
-        np.copyto(cur[:n, :], inf, where=ws.mask)
-        return cur
-    if num in (3, 7):
-        write, read = _reduction_slices(n, sched.sub_generation)
-        np.minimum(cur[:n, write], cur[:n, read], out=cur[:n, write])
-        return cur
-    if num in (4, 8):
-        np.copyto(ws.col, cur[:n, 0])
-        cur[:n, 0] = np.where(ws.col == inf, cur[n, :], ws.col)
-        return cur
-    if num == 5:
-        other[:n, :] = cur[:n, 0][None, :]
-        other[n, :] = cur[n, :]
-        return other
-    if num == 6:
-        j_col = np.arange(n)[:, None]
-        np.not_equal(cur[n, :][None, :], j_col, out=ws.mask)
-        np.equal(cur[:n, :], j_col, out=ws.mask2)
-        np.logical_or(ws.mask, ws.mask2, out=ws.mask)
-        np.copyto(cur[:n, :], inf, where=ws.mask)
-        return cur
-    if num == 9:
-        np.copyto(ws.col, cur[:n, 0])
-        other[:n, :] = ws.col[:, None]
-        other[n, :] = ws.col
-        return other
-    if num == 10:
-        np.copyto(ws.col, cur[:n, 0])
-        cur[:n, 0] = ws.col[ws.col]
-        return cur
-    if num == 11:
-        np.copyto(ws.col, cur[:n, 0])
-        cur[:n, 0] = np.minimum(ws.col, cur[ws.col, 1])
-        return cur
-    raise ValueError(f"unknown generation number {num}")  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +186,6 @@ class VectorizedResult:
     iterations: int
     total_generations: int
     access_log: Optional[AccessLog] = None
-    snapshots: List[np.ndarray] = field(default_factory=list)
     converged_at_iteration: Optional[int] = None
 
     @property
@@ -292,15 +193,10 @@ class VectorizedResult:
         return int(np.unique(self.labels).size)
 
 
-GenerationCallback = Callable[[ScheduledGeneration, np.ndarray], None]
-
-
 def run_vectorized(
     graph: GraphLike,
     iterations: Optional[int] = None,
     record_access: bool = False,
-    keep_snapshots: bool = False,
-    on_generation: Optional[GenerationCallback] = None,
     early_exit: bool = False,
 ) -> VectorizedResult:
     """Run the GCA algorithm on ``graph`` with whole-array operations.
@@ -314,14 +210,8 @@ def run_vectorized(
     record_access:
         Build an :class:`~repro.gca.instrumentation.AccessLog` with the
         same per-generation statistics the interpreter measures (active
-        cells, reads per cell).  Roughly doubles the run time.
-    keep_snapshots:
-        Keep a copy of ``D`` after every generation (Figure 3 material).
-    on_generation:
-        Callback ``(scheduled, D_after)`` per generation.  Without
-        ``keep_snapshots`` the callback receives a *read-only view* of the
-        live buffer, valid only for the duration of the call; enable
-        ``keep_snapshots`` to retain per-generation copies.
+        cells, reads per cell).  This runs the per-generation reference
+        loop over :func:`apply_generation` instead of the fused kernel.
     early_exit:
         Stop as soon as an outer iteration leaves the label column
         unchanged (a fixed point of the iteration map).  The labels are
@@ -329,65 +219,67 @@ def run_vectorized(
         Off by default so the measurement paths execute the paper's exact
         schedule.
     """
+    if record_access:
+        return _run_instrumented(graph, iterations, early_exit)
+    res = BatchedGCA([graph], iterations=iterations, early_exit=early_exit).run()
+    converged = int(res.converged_at_iteration[0])
+    return VectorizedResult(
+        labels=res.labels[0],
+        n=res.n,
+        iterations=int(res.iterations_run[0]),
+        total_generations=int(res.generations_run()[0]),
+        converged_at_iteration=None if converged < 0 else converged,
+    )
+
+
+def _run_instrumented(
+    graph: GraphLike, iterations: Optional[int], early_exit: bool
+) -> VectorizedResult:
+    """Generation-by-generation run that logs every generation's reads."""
     g = graph if isinstance(graph, AdjacencyMatrix) else AdjacencyMatrix(np.asarray(graph))
     n = g.n
     layout = FieldLayout(n)
     A = g.matrix.astype(np.int64)
     total_iters = outer_iterations(n) if iterations is None else iterations
-    schedule = full_schedule(n, iterations=total_iters)
-
-    ws = FieldWorkspace(n, A)
-    cur, other = ws.front, ws.back
-    np.copyto(ws.prev_labels, np.arange(n, dtype=np.int64))
-    log = AccessLog() if record_access else None
-    snapshots: List[np.ndarray] = []
+    D = np.zeros((n + 1, n), dtype=np.int64)
+    prev_labels = np.arange(n, dtype=np.int64)
+    log = AccessLog()
 
     executed_generations = 0
     executed_iterations = 0
     converged_at: Optional[int] = None
-    for sched in schedule:
-        if record_access:
-            targets = pointer_targets(sched, cur, layout)
-            active = int(active_mask(sched, layout).sum())
-        result = apply_generation_fused(sched, cur, other, ws, layout)
-        if result is other:
-            cur, other = other, cur
+    for sched in full_schedule(n, iterations=total_iters):
+        targets = pointer_targets(sched, D, layout)
+        active = int(active_mask(sched, layout).sum())
+        D = apply_generation(sched, D, A, layout)
         executed_generations += 1
-        if record_access:
-            counts = (
-                np.bincount(targets, minlength=layout.size)
-                if targets is not None and targets.size
-                # opt-in instrumentation path; size-0 sentinel, not a buffer
-                else np.zeros(0, dtype=np.int64)  # repro-check: allow[DB101]
+        counts = (
+            np.bincount(targets, minlength=layout.size)
+            if targets is not None and targets.size
+            # size-0 sentinel, not a buffer
+            else np.zeros(0, dtype=np.int64)  # repro-check: allow[DB101]
+        )
+        log.record(
+            GenerationStats(
+                label=sched.label, active_cells=active, read_counts=counts
             )
-            log.record(
-                GenerationStats(
-                    label=sched.label, active_cells=active, read_counts=counts
-                )
-            )
-        if keep_snapshots:
-            # opt-in debugging mode: a per-generation copy is the point
-            snap = cur.copy()  # repro-check: allow[DB101]
-            snapshots.append(snap)
-        if on_generation is not None:
-            view = snap.view() if keep_snapshots else cur.view()
-            view.setflags(write=False)
-            on_generation(sched, view)
+        )
         if sched.number == 11:
             executed_iterations += 1
             if early_exit:
-                if np.array_equal(cur[:n, 0], ws.prev_labels):
+                # apply_generation returns a fresh field, so this view of
+                # the old one stays valid as the previous labels
+                if np.array_equal(D[:n, 0], prev_labels):
                     converged_at = sched.iteration
                     break
-                np.copyto(ws.prev_labels, cur[:n, 0])
+                prev_labels = D[:n, 0]
 
     return VectorizedResult(
-        labels=cur[:n, 0].copy(),
+        labels=D[:n, 0].copy(),
         n=n,
         iterations=executed_iterations,
         total_generations=executed_generations,
         access_log=log,
-        snapshots=snapshots,
         converged_at_iteration=converged_at,
     )
 

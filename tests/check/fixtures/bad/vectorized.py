@@ -6,12 +6,6 @@ Named ``vectorized.py`` so the path-scoped DB101 rule applies.
 import numpy as np
 
 
-def apply_generation_fused(sched, cur, other, ws, layout):
-    stale = other[0] + cur[1]  # DB102: reads the spare (write) buffer
-    other[:, :] = stale
-    return other
-
-
 def apply_generation(sched, D, layout):
     D[0] = np.minimum(D[0], D[1])  # DB103: mutates the read-only field
     np.copyto(D, D[::-1])  # DB103

@@ -6,23 +6,14 @@ Named ``vectorized.py`` so the path-scoped DB101 rule applies.
 import numpy as np
 
 
-def apply_generation_fused(sched, cur, other, ws, layout):
-    # reads come from cur, the spare buffer is write-only
-    other[:, :] = cur[0][None, :]
-    other[1, :] = ws.col
-    return other
-
-
 def apply_generation(sched, D, layout):
     new = D.copy()  # fresh result; D stays untouched
     new[0] = np.minimum(new[0], new[1])
     return new
 
 
-def run_kernel(schedule, cur, other, ws, layout):
+def run_kernel(schedule, cur, ws, layout):
     for sched in schedule:
-        result = apply_generation_fused(sched, cur, other, ws, layout)
-        if result is other:
-            cur, other = other, cur
+        np.copyto(ws.col, cur[0])
         np.minimum(cur[0], ws.col, out=ws.scratch)  # in-place, no alloc
     return cur

@@ -22,7 +22,7 @@ CASES = [
     ("good/steps_ok.py", set()),
     ("bad/steps_bad.py", {"CROW003"}),
     ("good/vectorized.py", set()),
-    ("bad/vectorized.py", {"DB101", "DB102", "DB103"}),
+    ("bad/vectorized.py", {"DB101", "DB103"}),
     ("good/shm_ok.py", set()),
     ("bad/shm_bad.py", {"SHM201", "SHM202", "LOCK301", "FORK302"}),
     ("good/memmap_ok.py", set()),
@@ -70,10 +70,9 @@ def test_findings_carry_location_and_severity(engine):
         assert f.severity in ("error", "warning")
         assert f.path.endswith("vectorized.py")
         assert f.rule_id in f.render() and str(f.line) in f.render()
-    # DB101 is a warning, DB102/DB103 are errors
+    # DB101 is a warning, DB103 an error
     by_rule = {f.rule_id: f.severity for f in findings}
     assert by_rule["DB101"] == "warning"
-    assert by_rule["DB102"] == "error"
     assert by_rule["DB103"] == "error"
 
 
@@ -106,10 +105,10 @@ def test_shm204_ignores_non_worker_lo_hi(engine):
 
 
 def test_rule_subset_selection():
-    engine = CheckEngine(all_rules(only=["DB102"]))
+    engine = CheckEngine(all_rules(only=["DB103"]))
     path = FIXTURES / "bad/vectorized.py"
     findings, _ = engine.check_source(path.as_posix(), path.read_text())
-    assert {f.rule_id for f in findings} == {"DB102"}
+    assert {f.rule_id for f in findings} == {"DB103"}
 
 
 def test_unknown_rule_id_rejected():
@@ -122,8 +121,8 @@ def test_db101_is_path_scoped(engine):
     source = (FIXTURES / "bad/vectorized.py").read_text()
     findings, _ = engine.check_source("somewhere/helpers.py", source)
     assert "DB101" not in {f.rule_id for f in findings}
-    # the structural rules still apply
-    assert "DB102" in {f.rule_id for f in findings}
+    # the structural rule still applies
+    assert "DB103" in {f.rule_id for f in findings}
 
 
 def test_suppression_comment(engine):

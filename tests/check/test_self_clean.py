@@ -59,7 +59,7 @@ def test_cli_json_output():
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     rules = {f["rule"] for f in payload["findings"]}
-    assert {"CROW001", "DB102", "SHM201", "LOCK301"} <= rules
+    assert {"CROW001", "DB103", "SHM201", "LOCK301"} <= rules
 
 
 def test_cli_sarif_output():

@@ -8,11 +8,18 @@ from hypothesis import strategies as st
 from repro.core.batched import (
     BatchedGCA,
     BatchedResult,
+    _apply_iteration,
+    _stride_slices,
     connected_components_batch,
 )
+from repro.core.field import FieldLayout
 from repro.core.machine import connected_components_interpreter
-from repro.core.schedule import generations_per_iteration, total_generations
-from repro.core.vectorized import run_vectorized
+from repro.core.schedule import (
+    full_schedule,
+    generations_per_iteration,
+    total_generations,
+)
+from repro.core.vectorized import apply_generation, run_vectorized
 from repro.graphs.components import canonical_labels
 from repro.graphs.generators import (
     complete_graph,
@@ -20,7 +27,11 @@ from repro.graphs.generators import (
     path_graph,
     random_graph,
 )
-from repro.util.intmath import outer_iterations
+from repro.util.intmath import (
+    jump_iterations,
+    outer_iterations,
+    reduction_subgenerations,
+)
 from tests.conftest import CORPUS, adjacency_matrices
 
 
@@ -63,13 +74,40 @@ class TestCorrectness:
         assert np.array_equal(res.labels[1], slow.labels)
 
 
+class TestFusedKernel:
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 12, 16, 33])
+    def test_field_equals_reference_generations(self, n):
+        """One ``_apply_iteration`` call leaves the whole field equal to
+        generations 1-11 of the per-generation ``apply_generation``."""
+        g = random_graph(n, 0.3, seed=n)
+        layout = FieldLayout(n)
+        A = g.matrix.astype(np.int64)
+        schedule = full_schedule(n)
+        D = apply_generation(schedule[0], np.zeros((n + 1, n), np.int64),
+                             A, layout)
+        field = D[None].astype(BatchedGCA([g])._dtype)
+        col = np.empty((1, n), dtype=field.dtype)
+        m1 = np.empty((1, n, n), dtype=bool)
+        m2 = np.empty((1, n, n), dtype=bool)
+        slices = [_stride_slices(n, s)
+                  for s in range(reduction_subgenerations(n))]
+        for it in range(outer_iterations(n)):
+            for sched in schedule:
+                if sched.iteration == it:
+                    D = apply_generation(sched, D, A, layout)
+            _apply_iteration(field, (A != 1)[None], col, m1, m2, n,
+                             layout.infinity, slices, jump_iterations(n))
+            assert np.array_equal(field[0], D), f"iteration {it}"
+
+
 class TestConvergenceAccounting:
     def test_matches_single_engine_early_exit(self):
         graphs = [random_graph(16, p, seed=s)
                   for p in (0.05, 0.3) for s in range(3)]
         res = BatchedGCA(graphs).run()
         for slot, g in enumerate(graphs):
-            single = run_vectorized(g, early_exit=True)
+            # record_access steps through the unfused apply_generation
+            single = run_vectorized(g, early_exit=True, record_access=True)
             if single.converged_at_iteration is None:
                 assert res.converged_at_iteration[slot] == -1
             else:
@@ -200,3 +238,31 @@ class TestDegenerateInputs:
 
         result = connected_components(np.zeros((1, 1), dtype=np.int8))
         assert np.array_equal(result.labels, [0])
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "method", ["vectorized", "batched", "interpreter", "reference", "pram"]
+    )
+    def test_single_vertex_graph_with_iterations(self, method, iterations):
+        """Regression: at n = 1 generation 11's pointer d*n + 1 leaves
+        column 0, and the dense field kernels raised IndexError."""
+        from repro.core.api import gca_connected_components
+
+        graph = np.zeros((1, 1), dtype=np.int8)
+        result = gca_connected_components(
+            graph, method=method, iterations=iterations
+        )
+        assert np.array_equal(result.labels, [0])
+        interp = connected_components_interpreter(graph, iterations=iterations)
+        if method == "vectorized":
+            assert result.detail.iterations == iterations
+            assert result.detail.total_generations == len(interp.access_log)
+            logged = run_vectorized(
+                graph, iterations=iterations, record_access=True
+            )
+            assert list(logged.access_log) == list(interp.access_log)
+        elif method == "batched":  # early exit: one iteration is a fixed point
+            assert result.detail.iterations_run.tolist() == [min(iterations, 1)]
+            assert result.detail.generations_run().tolist() == [
+                1 + min(iterations, 1) * generations_per_iteration(1)
+            ]

@@ -99,16 +99,6 @@ class TestRunner:
             res = run_vectorized(random_graph(n, 0.3, seed=n))
             assert res.total_generations == total_generations(n)
 
-    def test_snapshots(self):
-        res = run_vectorized(path_graph(4), keep_snapshots=True)
-        assert len(res.snapshots) == res.total_generations
-        assert res.snapshots[0][:4, 0].tolist() == [0, 1, 2, 3]
-
-    def test_callback(self):
-        labels = []
-        run_vectorized(path_graph(2), on_generation=lambda s, D: labels.append(s.label))
-        assert labels[0] == "gen0"
-
     def test_access_log_optional(self):
         res = run_vectorized(path_graph(4))
         assert res.access_log is None
@@ -175,31 +165,6 @@ class TestEarlyExit:
             assert res.total_generations == full.total_generations
 
 
-class TestCallbackViews:
-    def test_callback_view_is_read_only(self):
-        def cb(sched, D):
-            with pytest.raises((ValueError, RuntimeError)):
-                D[0, 0] = 99
-
-        run_vectorized(path_graph(4), on_generation=cb)
-
-    def test_snapshot_view_is_read_only_but_stored_copy_writable(self):
-        res = run_vectorized(
-            path_graph(4),
-            keep_snapshots=True,
-            on_generation=lambda s, D: pytest.raises(
-                (ValueError, RuntimeError), D.__setitem__, (0, 0), 99
-            ),
-        )
-        # the archived snapshots themselves stay writable copies
-        assert all(s.flags.writeable for s in res.snapshots)
-
-    def test_snapshots_are_distinct_copies(self):
-        res = run_vectorized(path_graph(4), keep_snapshots=True)
-        assert res.snapshots[0] is not res.snapshots[1]
-        assert not np.array_equal(res.snapshots[0], res.snapshots[-1])
-
-
 class TestAccessLogEquivalence:
     def test_matches_interpreter_log(self):
         """The vectorised access accounting must equal the interpreter's."""
@@ -213,3 +178,17 @@ class TestAccessLogEquivalence:
             assert s.label == f.label
             assert s.active_cells == f.active_cells, s.label
             assert s.reads_per_cell == f.reads_per_cell, s.label
+
+    @pytest.mark.parametrize("early_exit", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 32])
+    def test_instrumented_loop_matches_fused_kernel(self, n, early_exit):
+        """``record_access`` steps through ``apply_generation``; every
+        count it reports must equal the fused kernel's."""
+        g = random_graph(n, 0.2, seed=n)
+        plain = run_vectorized(g, early_exit=early_exit)
+        logged = run_vectorized(g, record_access=True, early_exit=early_exit)
+        assert np.array_equal(logged.labels, plain.labels)
+        assert logged.iterations == plain.iterations
+        assert logged.total_generations == plain.total_generations
+        assert logged.converged_at_iteration == plain.converged_at_iteration
+        assert len(logged.access_log) == plain.total_generations
