@@ -6,7 +6,7 @@ id        severity  checks
 CROW001   error     a GCA rule method mutates its cell/neighbor view
 CROW002   error     a GCA rule method mutates shared state through ``self``
 CROW003   error     a Hirschberg step function mutates an input vector
-DB101     warning   allocation inside a generation loop of a kernel module
+DB101     warning   allocation inside a loop of a kernel module
 DB103     error     ``apply_generation`` mutates the read-only field ``D``
 SHM201    error     a shared-memory acquisition that can never be released
 SHM202    warning   consecutive shm acquisitions without an error-path guard

@@ -3,8 +3,11 @@
 The field engines (:mod:`repro.core.vectorized`,
 :mod:`repro.core.batched`) rely on two disciplines:
 
-* the fused kernel's generation loop is **allocation-free** -- every
-  buffer is preallocated and reused (DB101);
+* the kernel's loops allocate no field-sized buffer -- the iteration
+  and retirement loop of :meth:`BatchedGCA.run` reuses its
+  preallocated mask and compacts retired graphs out of the field in
+  place, and :func:`_apply_iteration`'s pointer-jump loop only gathers
+  a label column (DB101);
 * the pure per-generation transform (:func:`apply_generation`) takes
   the field ``D`` read-only and returns a new array -- the
   interpreter cross-validation depends on ``D`` surviving the call
@@ -30,9 +33,9 @@ from repro.check.engine import (
     walk_function,
 )
 
-#: Array-allocating callables that must not appear inside generation
-#: loops (in-place ops like ``np.copyto``/``np.minimum(..., out=)`` are
-#: the sanctioned alternative).
+#: Array-allocating callables that must not appear inside kernel loops
+#: (in-place ops like ``np.copyto``/``np.minimum(..., out=)`` are the
+#: sanctioned alternative).
 _ALLOCATORS = frozenset({
     "zeros", "empty", "ones", "full", "copy", "ascontiguousarray",
     "stack", "concatenate", "tile", "zeros_like", "empty_like",
@@ -57,16 +60,18 @@ def _allocator_call(node: ast.Call) -> Optional[str]:
 
 
 class LoopAllocationRule(LintRule):
-    """DB101: an array allocation inside a generation loop.
+    """DB101: an array allocation inside a loop of a kernel module.
 
-    Scoped to the kernel modules by basename.  Hoist the buffer out of
-    the loop, or suppress with a reason when the allocation is on an
-    opt-in slow path (instrumentation, retirement).
+    Scoped to the kernel modules by basename, where the loops are the
+    iteration and retirement loop of ``BatchedGCA.run``, the pointer-jump
+    loop of ``_apply_iteration`` and the instrumented generation loop.
+    Hoist the buffer out of the loop, or suppress with a reason when the
+    allocation is on an opt-in slow path (instrumentation, retirement).
     """
 
     rule_id = "DB101"
     severity = "warning"
-    description = "no array allocation inside kernel generation loops"
+    description = "no array allocation inside the kernel modules' loops"
     basenames = frozenset({"vectorized.py", "batched.py"})
 
     def check(self, module: Module) -> Iterator[Finding]:
@@ -87,8 +92,8 @@ class LoopAllocationRule(LintRule):
                         yield self.finding(
                             module,
                             node,
-                            f"{name}() allocates inside a generation loop "
-                            f"of {fn.name!r}; preallocate it before the loop "
+                            f"{name}() allocates inside a loop of "
+                            f"{fn.name!r}; preallocate it before the loop "
                             "or write through out=/np.copyto",
                         )
 

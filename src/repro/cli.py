@@ -154,6 +154,21 @@ def _load_graph(args: argparse.Namespace) -> GraphLike:
 _LISTING_LIMIT = 10_000
 
 
+def _print_convergence(result) -> None:
+    """The fixed-point line of a dense-field run, if it stopped early."""
+    detail = result.detail
+    if result.method == "batched":  # a batch of one graph
+        at = int(detail.converged_at_iteration[0])
+        converged = None if at < 0 else at
+        generations = int(detail.generations_run()[0])
+    else:
+        converged = detail.converged_at_iteration
+        generations = detail.total_generations
+    if converged is not None:
+        print(f"converged at iteration {converged} "
+              f"({generations} generations)")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     budget = _parse_bytes(args.memory_budget) if args.memory_budget else None
@@ -173,9 +188,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"components: {result.component_count}")
     if args.sanitize and getattr(result.detail, "sanitizer", None) is not None:
         print(result.detail.sanitizer.summary())
-    if args.early_exit and result.detail.converged_at_iteration is not None:
-        print(f"converged at iteration {result.detail.converged_at_iteration} "
-              f"({result.detail.total_generations} generations)")
+    if args.early_exit:
+        _print_convergence(result)
     if args.labels:
         print("labels:", " ".join(map(str, result.labels.tolist())))
     elif graph.n <= _LISTING_LIMIT:
@@ -669,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the raw label vector")
     solve.add_argument("--early-exit", action="store_true",
                        help="stop at the label fixed point "
-                            "(vectorized method only)")
+                            "(vectorized method; batched always does)")
     solve.add_argument("--sanitize", action="store_true",
                        help="run on the CROW write-barrier interpreter: "
                             "any cross-cell write raises and the read "

@@ -233,8 +233,10 @@ def connected_components(
         for the contracting engine this caps the contraction levels).
     early_exit:
         Stop at the label fixed point instead of running the full
-        schedule.  Supported by the vectorised engine only; with
-        ``engine="auto"`` this forces the vectorised engine.
+        schedule.  Supported by the vectorised engine; with
+        ``engine="auto"`` this forces the vectorised engine.  The
+        batched engine accepts it but always stops at the fixed point,
+        whatever its value.
     cost_model:
         Override the :class:`~repro.core.dispatch.CostModel` used by
         ``"auto"``.  When omitted, ``"auto"`` uses the shipped constants
@@ -291,10 +293,10 @@ def connected_components(
         else:
             model = cost_model if cost_model is not None else _probed_cost_model()
             engine = choose_engine(n, m, model=model)
-    if early_exit and engine != "vectorized":
+    if early_exit and engine not in ("vectorized", "batched"):
         raise ValueError(
-            f"early_exit is only supported by the vectorized engine, "
-            f"not {engine!r}"
+            f"early_exit is only supported by the vectorized and batched "
+            f"engines, not {engine!r}"
         )
 
     if engine == "vectorized":

@@ -3,17 +3,25 @@
 The GCA's promise is that all ``n(n+1)`` cells compute simultaneously;
 the throughput unit of a production deployment is *many graphs*.  This
 module stacks ``B`` same-size graphs into one ``(B, n+1, n)`` field and
-executes every generation as a single whole-batch NumPy operation, so the
-Python dispatch overhead of the 12-generation schedule is paid once per
-generation for the whole batch instead of once per graph.
+runs each outer iteration for the whole batch at once, so the Python
+dispatch overhead of the schedule is paid once per iteration for the
+whole batch instead of once per graph.
+
+An outer iteration (generations 1-11 of Figure 2) reads nothing of the
+field but its label column ``D[:n, 0]``: generation 1 rebroadcasts it.
+:func:`_apply_iteration` therefore computes the iteration as the map on
+that column it is -- generations 1-4 as one masked row minimum over the
+adjacency, generations 5-8 as one scatter-min of the hooks onto their
+supervertices (the label-propagation form of Burkhardt and of Liu and
+Tarjan), generations 9-11 as pointer jumps on the column -- and then
+writes the field the 11 generations leave, once.
 
 Convergence is tracked per graph: an outer iteration that leaves a
 graph's label column ``D[g, :n, 0]`` unchanged has reached that graph's
-fixed point (the iteration map is a deterministic function of the label
-column alone -- see :mod:`repro.core.vectorized`).  Converged graphs
-retire from the batch -- their labels are written to the output and the
-remaining graphs are compacted to a contiguous prefix -- so a batch's
-cost tracks its stragglers, not its size times the worst case.
+fixed point.  Converged graphs retire from the batch -- their labels are
+written to the output and the remaining graphs are compacted to a
+contiguous prefix -- so a batch's cost tracks its stragglers, not its
+size times the worst case.
 
 Two entry points:
 
@@ -37,11 +45,7 @@ import numpy as np
 
 from repro.core.schedule import generations_per_iteration
 from repro.graphs.adjacency import AdjacencyMatrix
-from repro.util.intmath import (
-    jump_iterations,
-    outer_iterations,
-    reduction_subgenerations,
-)
+from repro.util.intmath import jump_iterations, outer_iterations
 from repro.util.sentinels import infinity_for
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
@@ -83,10 +87,14 @@ class BatchedResult:
 
     @property
     def component_counts(self) -> np.ndarray:
-        """Number of components of each graph, shape ``(B,)``."""
-        return np.array(
-            [np.unique(row).size for row in self.labels], dtype=np.int64
-        )
+        """Number of components of each graph, shape ``(B,)``.
+
+        The labels are canonical (each component carries its smallest
+        vertex), so a graph's components are its fixed points
+        ``labels[v] == v``.
+        """
+        fixed = self.labels == np.arange(self.n)
+        return fixed.sum(axis=1, dtype=np.int64)
 
     def generations_run(self) -> np.ndarray:
         """Generations each graph executed: ``1 + iters * (3 log n + 8)``."""
@@ -132,9 +140,7 @@ class BatchedGCA:
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         self.early_exit = early_exit
-        self._not_adjacent = np.stack(mats) != 1 if n else np.empty(
-            (self.batch_size, 0, 0), dtype=bool
-        )
+        self._matrices = mats
         # the field only ever holds values 0..n(n+1); int32 halves the
         # memory traffic of the (memory-bound) whole-batch kernels
         self._dtype = (
@@ -173,9 +179,7 @@ class BatchedGCA:
                 ),
             )
         inf = infinity_for(n)
-        subgens = reduction_subgenerations(n)
         jumps = jump_iterations(n)
-        reduce_slices = [_stride_slices(n, s) for s in range(subgens)]
 
         out_labels = np.empty((B, n), dtype=np.int64)
         iterations_run = np.full(B, self.iterations, dtype=np.int64)
@@ -185,41 +189,43 @@ class BatchedGCA:
         D = np.empty((B, n + 1, n), dtype=self._dtype)
         D[:, :, :] = np.arange(n + 1, dtype=self._dtype)[None, :, None]
 
-        not_adjacent = self._not_adjacent
+        # the stacked adjacency belongs to this run, so retirement can
+        # compact it in place along with the field
+        adjacent = np.empty((B, n, n), dtype=bool)
+        for slot, matrix in enumerate(self._matrices):
+            np.equal(matrix, 1, out=adjacent[slot])
         index = np.arange(B)                     # original slot of each row
         prev = D[:, :n, 0].copy()
         # scratch, sliced down as the batch shrinks
-        col = np.empty((B, n), dtype=self._dtype)
-        m1 = np.empty((B, n, n), dtype=bool)
-        m2 = np.empty((B, n, n), dtype=bool)
+        mask = np.empty((B, n, n), dtype=bool)
 
         for it in range(self.iterations):
             k = D.shape[0]
-            _apply_iteration(
-                D, not_adjacent, col[:k], m1[:k], m2[:k],
-                n, inf, reduce_slices, jumps,
-            )
+            _apply_iteration(D, adjacent, mask[:k], n, inf, jumps)
             labels = D[:, :n, 0]
             if not self.early_exit:
                 continue
             changed = np.any(labels != prev, axis=1)
-            if changed.all():
-                np.copyto(prev, labels)
-                continue
-            done = ~changed
-            retired = index[done]
-            out_labels[retired] = labels[done]
-            iterations_run[retired] = it + 1
-            converged_at[retired] = it
-            # compact the survivors into a contiguous prefix -- this runs
-            # once per retirement event, not per generation, and shrinks
-            # every later generation's working set
-            D = np.ascontiguousarray(D[changed])  # repro-check: allow[DB101]
-            not_adjacent = np.ascontiguousarray(not_adjacent[changed])  # repro-check: allow[DB101]
-            index = index[changed]
-            prev = np.ascontiguousarray(labels[changed])  # repro-check: allow[DB101]
-            if index.size == 0:
-                break
+            if not changed.all():
+                done = ~changed
+                retired = index[done]
+                out_labels[retired] = labels[done]
+                iterations_run[retired] = it + 1
+                converged_at[retired] = it
+                # compact the survivors into a contiguous prefix of the
+                # same buffers (each moves down, never up), which shrinks
+                # every later iteration's working set without allocating
+                keep = np.flatnonzero(changed)
+                for dst, src in enumerate(keep.tolist()):
+                    if dst != src:
+                        D[dst] = D[src]
+                        adjacent[dst] = adjacent[src]
+                live = keep.size
+                D, adjacent = D[:live], adjacent[:live]
+                index, prev = index[keep], prev[:live]
+                if live == 0:
+                    break
+            np.copyto(prev, D[:, :n, 0])
 
         if index.size:
             out_labels[index] = D[:, :n, 0]
@@ -234,77 +240,57 @@ class BatchedGCA:
         )
 
 
-def _stride_slices(n: int, sub_generation: int):
-    """``(write, read)`` column slices of one reduction sub-generation.
-
-    The write columns are the even multiples of ``stride`` whose partner
-    ``col + stride`` still exists; both sets are arithmetic progressions,
-    so plain slices express them without fancy-index copies.
-    """
-    stride = 1 << sub_generation
-    return slice(0, n - stride, 2 * stride), slice(stride, n, 2 * stride)
-
-
 def _apply_iteration(
     D: np.ndarray,
-    not_adjacent: np.ndarray,
-    col: np.ndarray,
-    m1: np.ndarray,
-    m2: np.ndarray,
+    adjacent: np.ndarray,
+    mask: np.ndarray,
     n: int,
     inf: int,
-    reduce_slices: Sequence[tuple],
     jumps: int,
 ) -> None:
     """One outer iteration (generations 1..11) on the stacked field.
 
-    All arrays carry a leading batch axis ``k``; every generation is one
-    whole-batch NumPy dispatch.  ``col``/``m1``/``m2`` are scratch buffers
-    of shapes ``(k, n)``, ``(k, n, n)``, ``(k, n, n)``.
+    The iteration reads nothing of ``D`` but the label column
+    ``C = D[:, :n, 0]`` (generation 1 rebroadcasts it), so the kernel
+    computes the iteration map on that column and writes the field the
+    11 generations leave once, at the end.  ``adjacent`` is the ``(k, n,
+    n)`` bool adjacency and ``mask`` a bool scratch buffer of the same
+    shape; every array carries a leading batch axis ``k``.
     """
-    Dsq = D[:, :n, :]
-    DN = D[:, n, :]
-    j_col = np.arange(n, dtype=D.dtype).reshape(1, n, 1)
+    k = D.shape[0]
+    C = D[:, :n, 0].copy()
 
-    # gen 1: broadcast the label column over the whole field
-    np.copyto(col, Dsq[:, :, 0])
-    D[:, :, :] = col[:, None, :]
-    # gen 2: mask non-neighbors with infinity
-    np.equal(Dsq, DN[:, :, None], out=m1)
-    np.logical_or(m1, not_adjacent, out=m1)
-    np.copyto(Dsq, inf, where=m1)
-    # gen 3: log-depth row minimum reduction
-    for write, read in reduce_slices:
-        np.minimum(Dsq[:, :, write], Dsq[:, :, read], out=Dsq[:, :, write])
-    # gen 4: fall back to the archived own label where the row was empty
-    np.copyto(col, Dsq[:, :, 0])
-    Dsq[:, :, 0] = np.where(col == inf, DN, col)
-    # gen 5: rebroadcast (keeping the archive row)
-    np.copyto(col, Dsq[:, :, 0])
-    Dsq[:, :, :] = col[:, None, :]
-    # gen 6: mask non-members with infinity
-    np.not_equal(DN[:, None, :], j_col, out=m1)
-    np.equal(Dsq, j_col, out=m2)
-    np.logical_or(m1, m2, out=m1)
-    np.copyto(Dsq, inf, where=m1)
-    # gen 7: second minimum reduction
-    for write, read in reduce_slices:
-        np.minimum(Dsq[:, :, write], Dsq[:, :, read], out=Dsq[:, :, write])
-    # gen 8: second fallback
-    np.copyto(col, Dsq[:, :, 0])
-    Dsq[:, :, 0] = np.where(col == inf, DN, col)
-    # gen 9: distribute column-wise and archive into the bottom row
-    np.copyto(col, Dsq[:, :, 0])
-    Dsq[:, :, :] = col[:, :, None]
-    DN[:, :] = col
-    # gen 10: pointer jumping, log-depth
+    # gens 1-4: T[i] = min{C[j] : A(i, j), C[j] != C[i]}, else C[i] --
+    # one masked row minimum, without the masked integer field.  An
+    # empty row is left at inf rather than C[i]: gens 5-8 drop both
+    np.not_equal(C[:, None, :], C[:, :, None], out=mask)
+    np.logical_and(mask, adjacent, out=mask)
+    T = np.min(
+        np.broadcast_to(C[:, None, :], mask.shape),
+        axis=2, where=mask, initial=inf,
+    )
+
+    # gens 5-8: T'[i] = min{T[j] : C[j] = i, T[j] != i}, else C[i] --
+    # each hooking vertex j offers T[j] to the supervertex C[j], so the
+    # n x n member mask is one scatter-min over the k*n labels (an
+    # offer of inf changes nothing)
+    hooked = np.full(k * n, inf, dtype=D.dtype)
+    offers = T != C
+    rows = np.arange(k).reshape(k, 1) * n
+    np.minimum.at(hooked, (rows + C)[offers], T[offers])
+    hooked = hooked.reshape(k, n)
+    np.copyto(hooked, C, where=hooked == inf)
+
+    # gens 9-11: pointer jumping on the distributed label column, then
+    # resolve mutual supernode pairs through column 1 (= hooked[c])
+    c = hooked
     for _ in range(jumps):
-        np.copyto(col, Dsq[:, :, 0])
-        Dsq[:, :, 0] = np.take_along_axis(col, col, axis=1)
-    # gen 11: resolve mutual supernode pairs
-    np.copyto(col, Dsq[:, :, 0])
-    paired = np.take_along_axis(D[:, :, 1], col, axis=1)
-    Dsq[:, :, 0] = np.minimum(col, paired)
+        c = np.take_along_axis(c, c, axis=1)
+    resolved = np.minimum(c, np.take_along_axis(hooked, c, axis=1))
+
+    D[:, :n, :] = hooked[:, :, None]
+    D[:, n, :] = hooked
+    D[:, :n, 0] = resolved
 
 
 def connected_components_batch(

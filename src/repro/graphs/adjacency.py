@@ -31,7 +31,7 @@ class AdjacencyMatrix:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        matrix = check_symmetric_binary("adjacency matrix", matrix).copy()
+        matrix = check_symmetric_binary("adjacency matrix", matrix)
         np.fill_diagonal(matrix, 0)
         matrix.setflags(write=False)
         self._matrix = matrix

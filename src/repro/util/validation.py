@@ -46,18 +46,23 @@ def check_square(name: str, matrix: np.ndarray) -> np.ndarray:
 def check_symmetric_binary(name: str, matrix: np.ndarray) -> np.ndarray:
     """Check that ``matrix`` is a square, symmetric, 0/1 adjacency matrix.
 
-    The diagonal may be anything on input; callers normalise it.  Returns the
-    matrix as ``np.int8``.
+    The diagonal may be anything on input; callers normalise it.  Returns a
+    fresh ``np.int8`` copy of the matrix.
     """
     matrix = check_square(name, matrix)
-    values = np.unique(matrix)
-    if not np.isin(values, (0, 1)).all():
+    # an elementwise test, not np.unique: NumPy >= 2.3 hashes in unique,
+    # which dominates validating a large matrix; the sorted value list is
+    # only built for the error message
+    if not np.logical_or(matrix == 0, matrix == 1).all():
+        values = np.unique(matrix)
         raise ValueError(
             f"{name} must contain only 0/1 entries, found values {values[:10]}"
         )
-    if not np.array_equal(matrix, matrix.T):
+    # 0/1 casts losslessly, and the transpose is cheaper to read as int8
+    out = matrix.astype(np.int8)
+    if not np.array_equal(out, out.T):
         raise ValueError(f"{name} must be symmetric (undirected graph)")
-    return matrix.astype(np.int8)
+    return out
 
 
 def check_type(name: str, value: Any, expected: type) -> Any:

@@ -36,6 +36,24 @@ class TestGcaConnectedComponents:
         assert res.labels.tolist() == list(range(8))
 
 
+class TestEarlyExit:
+    @pytest.mark.parametrize("early_exit", [False, True])
+    def test_batched_accepts_both_values(self, early_exit):
+        """The batched engine always stops at the fixed point, so
+        ``early_exit`` is accepted either way and changes nothing."""
+        g = union_of_cliques([3, 1, 4])
+        res = repro.connected_components(g, engine="batched",
+                                         early_exit=early_exit)
+        assert res.method == "batched"
+        assert res.labels.tolist() == [0, 0, 0, 3, 4, 4, 4, 4]
+        assert res.detail.converged_at_iteration.tolist() == [1]
+
+    def test_rejected_for_other_engines(self):
+        with pytest.raises(ValueError, match="early_exit"):
+            repro.connected_components(union_of_cliques([2]),
+                                       engine="contracting", early_exit=True)
+
+
 class TestComponentsResult:
     def make(self) -> ComponentsResult:
         return gca_connected_components(from_edges(5, [(0, 4), (1, 2)]))

@@ -9,7 +9,6 @@ from repro.core.batched import (
     BatchedGCA,
     BatchedResult,
     _apply_iteration,
-    _stride_slices,
     connected_components_batch,
 )
 from repro.core.field import FieldLayout
@@ -24,14 +23,11 @@ from repro.graphs.components import canonical_labels
 from repro.graphs.generators import (
     complete_graph,
     empty_graph,
+    from_edges,
     path_graph,
     random_graph,
 )
-from repro.util.intmath import (
-    jump_iterations,
-    outer_iterations,
-    reduction_subgenerations,
-)
+from repro.util.intmath import jump_iterations, outer_iterations
 from tests.conftest import CORPUS, adjacency_matrices
 
 
@@ -74,30 +70,57 @@ class TestCorrectness:
         assert np.array_equal(res.labels[1], slow.labels)
 
 
+def _mixed_batch(n):
+    """One graph of each family, stacked into one batch."""
+    return [empty_graph(n), path_graph(n), complete_graph(n),
+            random_graph(n, min(1.0, 2.0 / n), seed=n),
+            random_graph(n, 0.5, seed=n + 1)]
+
+
 class TestFusedKernel:
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 12, 16, 33])
     def test_field_equals_reference_generations(self, n):
-        """One ``_apply_iteration`` call leaves the whole field equal to
-        generations 1-11 of the per-generation ``apply_generation``."""
-        g = random_graph(n, 0.3, seed=n)
+        """One ``_apply_iteration`` call leaves every graph's whole field
+        equal to generations 1-11 of the per-generation
+        ``apply_generation``, in a batch that mixes graph families."""
+        graphs = _mixed_batch(n)
         layout = FieldLayout(n)
-        A = g.matrix.astype(np.int64)
+        As = [g.matrix.astype(np.int64) for g in graphs]
         schedule = full_schedule(n)
-        D = apply_generation(schedule[0], np.zeros((n + 1, n), np.int64),
-                             A, layout)
-        field = D[None].astype(BatchedGCA([g])._dtype)
-        col = np.empty((1, n), dtype=field.dtype)
-        m1 = np.empty((1, n, n), dtype=bool)
-        m2 = np.empty((1, n, n), dtype=bool)
-        slices = [_stride_slices(n, s)
-                  for s in range(reduction_subgenerations(n))]
+        start = apply_generation(schedule[0], np.zeros((n + 1, n), np.int64),
+                                 As[0], layout)
+        refs = [start] * len(graphs)
+        field = np.stack(refs).astype(BatchedGCA(graphs)._dtype)
+        adjacent = np.stack(As) == 1
+        mask = np.empty(adjacent.shape, dtype=bool)
         for it in range(outer_iterations(n)):
             for sched in schedule:
                 if sched.iteration == it:
-                    D = apply_generation(sched, D, A, layout)
-            _apply_iteration(field, (A != 1)[None], col, m1, m2, n,
-                             layout.infinity, slices, jump_iterations(n))
-            assert np.array_equal(field[0], D), f"iteration {it}"
+                    refs = [apply_generation(sched, D, A, layout)
+                            for D, A in zip(refs, As)]
+            _apply_iteration(field, adjacent, mask, n, layout.infinity,
+                             jump_iterations(n))
+            for slot, D in enumerate(refs):
+                assert np.array_equal(field[slot], D), f"iteration {it}"
+
+    @given(
+        st.integers(min_value=2, max_value=14).flatmap(
+            lambda n: st.lists(adjacency_matrices(min_n=n, max_n=n),
+                               min_size=1, max_size=4)
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_property_early_exit_matches_reference(self, graphs):
+        """With early exit, the batch retires every graph where the
+        unfused reference loop stops, with the same labels."""
+        res = BatchedGCA(graphs, early_exit=True).run()
+        for slot, g in enumerate(graphs):
+            ref = run_vectorized(g, early_exit=True, record_access=True)
+            converged = (-1 if ref.converged_at_iteration is None
+                         else ref.converged_at_iteration)
+            assert np.array_equal(res.labels[slot], ref.labels)
+            assert res.iterations_run[slot] == ref.iterations
+            assert res.converged_at_iteration[slot] == converged
 
 
 class TestConvergenceAccounting:
@@ -157,6 +180,22 @@ class TestResultShape:
     def test_component_counts(self):
         res = BatchedGCA([empty_graph(6), complete_graph(6)]).run()
         assert res.component_counts.tolist() == [6, 1]
+
+    def test_component_counts_with_singletons(self):
+        """Isolated vertices count once each, beside larger components."""
+        g = from_edges(7, [(1, 4), (4, 6), (2, 3)])  # {0}, {5}, 2 pairs
+        res = BatchedGCA([g, path_graph(7)]).run()
+        assert res.component_counts.tolist() == [4, 1]
+        assert res.component_counts.dtype == np.int64
+
+    def test_run_is_repeatable(self):
+        """Retirement compacts run-local buffers, so a second ``run``
+        on the same engine gives the same result."""
+        graphs = [empty_graph(9), path_graph(9), random_graph(9, 0.3, seed=2)]
+        engine = BatchedGCA(graphs)
+        first, second = engine.run(), engine.run()
+        assert np.array_equal(first.labels, second.labels)
+        assert np.array_equal(first.iterations_run, second.iterations_run)
 
     def test_batch_order_preserved(self):
         """Retirement compaction must not permute output slots."""

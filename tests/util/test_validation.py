@@ -78,6 +78,36 @@ class TestCheckSymmetricBinary:
         with pytest.raises(ValueError, match="0/1"):
             check_symmetric_binary("m", np.array([[0, 2], [2, 0]]))
 
+    @pytest.mark.parametrize("bad, listed", [
+        (np.array([[0, 2], [2, 0]]), "[0 2]"),
+        (np.array([[0, -1], [-1, 0]]), "[-1  0]"),
+        (np.array([[0.0, 0.5], [0.5, 0.0]]), "[0.  0.5]"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "nan"),
+        (np.array([[0, 256], [256, 0]], dtype=np.int16), "256"),
+    ])
+    def test_rejects_and_lists_offending_values(self, bad, listed):
+        with pytest.raises(ValueError, match="0/1") as err:
+            check_symmetric_binary("m", bad)
+        assert listed in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.int16, np.uint8])
+    def test_accepts_zero_one_of_any_dtype(self, dtype):
+        m = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 1]], dtype=dtype)
+        out = check_symmetric_binary("m", m)
+        assert out.dtype == np.int8
+        assert out.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 1]]
+
+    def test_rejects_asymmetric_after_binary_check(self):
+        """Asymmetric 0/1 float input still fails on symmetry."""
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric_binary("m", np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_returns_a_copy(self):
+        m = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        out = check_symmetric_binary("m", m)
+        out[0, 1] = 0
+        assert m[0, 1] == 1
+
 
 class TestCheckType:
     def test_accepts(self):
