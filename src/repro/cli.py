@@ -157,6 +157,8 @@ _LISTING_LIMIT = 10_000
 def _print_convergence(result) -> None:
     """The fixed-point line of a dense-field run, if it stopped early."""
     detail = result.detail
+    if result.method not in ("vectorized", "batched"):
+        return  # `auto` dispatched to an engine with no dense field
     if result.method == "batched":  # a batch of one graph
         at = int(detail.converged_at_iteration[0])
         converged = None if at < 0 else at
@@ -634,6 +636,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing and docs)."""
+    from repro.serve.server import ServerConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -683,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the raw label vector")
     solve.add_argument("--early-exit", action="store_true",
                        help="stop at the label fixed point "
-                            "(vectorized method; batched always does)")
+                            "(vectorized method; batched always does; "
+                            "auto ignores it)")
     solve.add_argument("--sanitize", action="store_true",
                        help="run on the CROW write-barrier interpreter: "
                             "any cross-cell write raises and the read "
@@ -761,8 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     listen.add_argument("--process-workers", type=int, default=0,
                         help="pool processes (0 = one per core with "
                              "--executor pool)")
-    listen.add_argument("--max-wait", type=float, default=0.002,
-                        help="batching window seconds (default 0.002)")
+    listen.add_argument("--max-wait", type=float,
+                        default=ServerConfig.max_wait,
+                        help="opt-in minimum hold seconds; default "
+                             "dispatches when a worker is free")
     listen.add_argument("--max-queue", type=int, default=1024,
                         help="admission queue depth (default 1024)")
     listen.add_argument("--admission", choices=["block", "shed", "fail"],
@@ -823,8 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-verify", action="store_true",
                        help="re-solve and compare on each entry's first "
                             "cache hit before trusting it")
-    serve.add_argument("--max-wait", type=float, default=0.002,
-                       help="batching window seconds (default 0.002)")
+    serve.add_argument("--max-wait", type=float,
+                       default=ServerConfig.max_wait,
+                       help="opt-in minimum hold seconds; default "
+                            "dispatches when a worker is free")
     serve.add_argument("--rps", type=float, default=0.0,
                        help="open-loop offered rate; 0 = closed loop")
     serve.add_argument("--concurrency", type=int, default=8,

@@ -233,10 +233,13 @@ def connected_components(
         for the contracting engine this caps the contraction levels).
     early_exit:
         Stop at the label fixed point instead of running the full
-        schedule.  Supported by the vectorised engine; with
-        ``engine="auto"`` this forces the vectorised engine.  The
-        batched engine accepts it but always stops at the fixed point,
-        whatever its value.
+        schedule.  Supported by the vectorised engine.  The batched
+        engine accepts it but always stops at the fixed point, whatever
+        its value.  ``engine="auto"`` ignores it and dispatches through
+        :func:`~repro.core.dispatch.choose_engine` as usual: every
+        engine it picks stops at its fixed point anyway, and the flag
+        is passed on only when the pick is a dense-field engine.  Any
+        other explicit engine rejects it.
     cost_model:
         Override the :class:`~repro.core.dispatch.CostModel` used by
         ``"auto"``.  When omitted, ``"auto"`` uses the shipped constants
@@ -288,11 +291,9 @@ def connected_components(
             requested_method=requested,
         )
     if engine == "auto":
-        if early_exit:
-            engine = "vectorized"
-        else:
-            model = cost_model if cost_model is not None else _probed_cost_model()
-            engine = choose_engine(n, m, model=model)
+        model = cost_model if cost_model is not None else _probed_cost_model()
+        engine = choose_engine(n, m, model=model)
+        early_exit = early_exit and engine in ("vectorized", "batched")
     if early_exit and engine not in ("vectorized", "batched"):
         raise ValueError(
             f"early_exit is only supported by the vectorized and batched "

@@ -14,7 +14,9 @@ Quickstart::
 
     responses = serve_many(graphs, deadline=0.5, workers=4)
 
-    with Server(workers=4, max_wait=0.002) as server:
+    # a bucket flushes on a free worker, a full bucket, deadline
+    # pressure, or an opt-in max_wait (a minimum hold, 0 by default)
+    with Server(workers=4) as server:
         handle = server.submit(graph, deadline=0.2)
         labels = handle.result()
         print(server.metrics.to_json())
@@ -25,8 +27,9 @@ Modules
     :class:`CCRequest` / :class:`CCResponse` / :class:`ResultHandle`
     value types and the terminal :class:`RequestStatus`.
 ``repro.serve.scheduler``
-    The thread-free batching policy: buckets, flush triggers, engine
-    choice.
+    The thread-free batching policy: buckets, flush triggers (a free
+    worker, a full bucket, deadline pressure, or an opt-in
+    ``max_wait``), engine choice.
 ``repro.serve.workers``
     Execution backends: coalesced unions, solo engines, the
     shared-memory process pool for large sparse requests.
@@ -55,7 +58,7 @@ Network quickstart::
 
     from repro.serve import Server, start_gateway
 
-    with Server(workers=4, max_wait=0.002) as server:
+    with Server(workers=4) as server:
         with start_gateway(server, port=7421) as gw:
             print("listening on", gw.address)
             ...

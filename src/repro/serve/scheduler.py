@@ -16,11 +16,19 @@ paid once per batch instead of once per request).  This module holds the
 * **Batch-size cap** -- one flush holds at most ``coalesce_units`` of
   union work (``n + 2m`` summed over its members), clamped by
   ``max_batch``.
-* **Flush triggers** -- a bucket flushes when it is full, when its
-  oldest member has waited ``max_wait`` seconds (the batching window),
-  or under *deadline pressure*: when some member's remaining budget no
-  longer covers the estimated flush time plus margin, waiting any
-  longer would turn a hit into a miss.
+* **Flush triggers** -- a bucket flushes on a free worker, a full
+  bucket, deadline pressure, or an opt-in ``max_wait``.  The server
+  passes the number of idle workers to :meth:`BatchPlanner.take_ready`,
+  which hands out at most that many flushes, most urgent bucket first
+  (tightest deadline, then oldest member).  With the default
+  ``max_wait=0`` any queued bucket is ready as soon as a worker is
+  free; while every worker is busy, requests stay here and keep
+  coalescing up to the batch-size cap (the adaptive batching of
+  Clipper, Crankshaw et al., NSDI 2017).  A positive ``max_wait`` is a
+  minimum hold: a bucket that is neither full nor under *deadline
+  pressure* (some member's remaining budget no longer covers the
+  estimated flush time plus margin) waits until its oldest member has
+  been held that long.
 * **Engine choice** -- a flush with more than one member, dense or
   sparse, runs coalesced ``"contracting"``; a single request goes
   through the dispatcher's rule table
@@ -163,8 +171,10 @@ class BatchPlanner:
     max_batch:
         Hard occupancy cap per flush.
     max_wait:
-        Batching window in seconds: no admitted request waits longer
-        than this for co-batchable traffic before its bucket flushes.
+        Opt-in minimum hold in seconds: a bucket that is neither full
+        nor under deadline pressure is not flushed before its oldest
+        member has been held this long, even with a worker free.  The
+        default 0 dispatches as soon as a worker is free.
     deadline_margin:
         Safety margin (seconds) subtracted from a request's slack when
         testing deadline pressure.
@@ -185,7 +195,7 @@ class BatchPlanner:
     def __init__(
         self,
         max_batch: int = 512,
-        max_wait: float = 0.002,
+        max_wait: float = 0.0,
         deadline_margin: float = 0.005,
         pad_buckets: bool = True,
         coalesce_units: int = 32_768,
@@ -236,8 +246,8 @@ class BatchPlanner:
         """File one admitted request into its bucket.
 
         Returns ``True`` when the bucket reached its flush cap -- the
-        caller should wake the scheduler rather than wait the window
-        out.
+        caller should wake the scheduler rather than wait out an
+        opt-in hold.
 
         This is the per-submission hot path: buckets live under plain
         ``(sparse, size)`` tuple keys and the full check is arithmetic
@@ -319,52 +329,76 @@ class BatchPlanner:
         est = self.estimate_batch_seconds(bucket.key, occupancy, mean_m)
         return bucket.min_deadline - now <= est + self.deadline_margin
 
-    def take_ready(
-        self, now: Optional[float] = None, force: bool = False
-    ) -> List[List[PendingRequest]]:
-        """Remove and return every batch that should flush now.
+    def _most_urgent_ready(
+        self, now: float, force: bool
+    ) -> Optional[Tuple[Tuple[bool, int], Bucket, int]]:
+        """The most urgent bucket that may flush now, with its dict key
+        and cap: tightest deadline first, then oldest member."""
+        best = None
+        for key, bucket in self._buckets.items():
+            cap = self._units_cap(bucket.units, len(bucket.members))
+            ready = (
+                force
+                or len(bucket.members) >= cap
+                or now - bucket.oldest >= self.max_wait
+                or self._pressure(bucket, now, cap)
+            )
+            if ready and (best is None or (bucket.min_deadline, bucket.oldest)
+                          < (best[1].min_deadline, best[1].oldest)):
+                best = (key, bucket, cap)
+        return best
 
-        A bucket flushes when full, when its oldest member has aged past
-        the batching window, or under deadline pressure; members are
-        packed most-urgent-first when the bucket overflows its cap.
-        ``force=True`` (drain) flushes everything regardless of triggers.
+    def take_ready(
+        self,
+        now: Optional[float] = None,
+        force: bool = False,
+        free: Optional[int] = None,
+    ) -> List[List[PendingRequest]]:
+        """Remove and return the batches to dispatch now.
+
+        ``free`` is the number of idle workers (``None`` = unbounded):
+        at most that many flushes are handed out, each from the most
+        urgent ready bucket (tightest deadline, then oldest member).  A
+        bucket is ready when full, when its oldest member has been held
+        ``max_wait`` (at once by default), or under deadline pressure;
+        members are packed most-urgent-first when the bucket overflows
+        its cap.  With no worker free nothing flushes and requests keep
+        coalescing.  ``force=True`` (drain) flushes everything,
+        whatever ``free`` says.
 
         This runs on every scheduler wake-up: the no-flush path must
         stay O(buckets), using only the cached bucket aggregates.
         """
         now = time.monotonic() if now is None else now
+        limit = None if force else free
         flushes: List[List[PendingRequest]] = []
-        for key in list(self._buckets):
-            bucket = self._buckets[key]
-            cap = self._units_cap(bucket.units, len(bucket.members))
-            timed_out = (
-                force
-                or now - bucket.oldest >= self.max_wait
-                or self._pressure(bucket, now, cap)
-            )
-            if len(bucket.members) < cap and not timed_out:
-                continue
+        while limit is None or len(flushes) < limit:
+            pick = self._most_urgent_ready(now, force)
+            if pick is None:
+                break
+            key, bucket, cap = pick
             if bucket.needs_sort:
                 # without deadlines/priorities, arrival order already
                 # IS the urgency order -- skip the O(B log B) sort
                 bucket.members.sort(key=lambda p: p.sort_key(now))
-            while len(bucket.members) >= cap:
-                flushes.append(bucket.members[:cap])
-                del bucket.members[:cap]
-                self._queued -= cap
-            if bucket.members and timed_out:
-                flushes.append(bucket.members[:])
-                self._queued -= len(bucket.members)
-                bucket.members.clear()
+            flushes.append(bucket.members[:cap])
+            del bucket.members[:cap]
+            self._queued -= len(flushes[-1])
             if not bucket.members:
                 del self._buckets[key]
             else:
                 bucket.refresh()
         return flushes
 
-    def next_due(self, now: Optional[float] = None) -> Optional[float]:
+    def next_due(
+        self, now: Optional[float] = None, free: Optional[int] = None
+    ) -> Optional[float]:
         """Seconds until the earliest time-based flush trigger, or
-        ``None`` when nothing is queued (pure event-driven wait)."""
+        ``None`` when nothing is queued or no worker is free
+        (``free == 0``): the scheduler then waits for an event -- an
+        arrival or a finished batch -- instead of polling."""
+        if free is not None and free <= 0:
+            return None
         now = time.monotonic() if now is None else now
         due = None
         for bucket in self._buckets.values():

@@ -5,7 +5,7 @@ requests into dynamically packed batches::
 
     from repro.serve import Server, ServerConfig
 
-    with Server(ServerConfig(workers=4, max_wait=0.002)) as server:
+    with Server(ServerConfig(workers=4)) as server:
         handles = [server.submit(g, deadline=0.2) for g in graphs]
         labels = [h.result() for h in handles]
         print(server.metrics.to_json())
@@ -19,8 +19,11 @@ Lifecycle of one request:
 2. **Scheduling** (the scheduler thread).  Admitted requests are filed
    into size/kind buckets by the
    :class:`~repro.serve.scheduler.BatchPlanner`, which flushes a bucket
-   when it is full, when its batching window (``max_wait``) closes, or
-   under deadline pressure.
+   on a free worker, a full bucket, deadline pressure, or an opt-in
+   ``max_wait``.  The scheduler hands out at most one batch per idle
+   worker; while every worker is busy, requests stay in the planner and
+   keep coalescing, so a batch forms from whatever arrived during the
+   previous one.
 3. **Execution** (worker threads).  A flushed batch of more than one
    member runs as one coalesced contracting solve over the members'
    disjoint union; a single request runs the engine the dispatcher's
@@ -95,19 +98,23 @@ class ServerConfig:
     Attributes
     ----------
     max_queue:
-        Admission bound: queued-but-undispatched requests beyond this
-        trigger the backpressure policy.
+        Admission bound: requests held by the scheduler (admitted, not
+        yet on a worker) beyond this trigger the backpressure policy.
+        Since at most ``workers`` batches are dispatched at a time,
+        every admitted request that is not running counts.
     admission:
         ``"block"`` (default), ``"shed"`` or ``"fail"`` -- see module
         docstring.
     max_batch:
         Hard batch-occupancy cap (``coalesce_units`` may cap lower).
     max_wait:
-        Batching window in seconds an admitted request may wait for
-        co-batchable traffic (default 2 ms).
+        Opt-in minimum hold in seconds before a bucket that is neither
+        full nor under deadline pressure flushes.  The default 0
+        dispatches as soon as a worker is free.
     workers:
         Worker threads executing batches (the contracting kernels
-        release the GIL inside NumPy).
+        release the GIL inside NumPy).  The scheduler dispatches at
+        most this many batches at once and holds the rest.
     process_workers:
         Size of the shared-memory process pool for large sparse
         requests; 0 (default) keeps everything in-process.
@@ -152,7 +159,7 @@ class ServerConfig:
     max_queue: int = 1024
     admission: str = "block"
     max_batch: int = 512
-    max_wait: float = 0.002
+    max_wait: float = 0.0
     workers: int = 2
     process_workers: int = 0
     sparse_process_units: int = 1_000_000
@@ -215,7 +222,8 @@ class Server:
         self._work_cv = threading.Condition(self._lock)
         self._space_cv = threading.Condition(self._lock)
         self._idle_cv = threading.Condition(self._lock)
-        self._in_flight = 0
+        self._in_flight = 0  # requests dispatched, not yet resolved
+        self._batches = 0  # batches dispatched, not yet finished
         self._state = "new"
         self._executor = None
         self._sparse_pool: Optional[SparseProcessPool] = None
@@ -362,8 +370,8 @@ class Server:
         )
         if self._cache is not None:
             # probe before admission: a verified hit costs one memoised
-            # fingerprint and skips the queue, the batching window and
-            # the solve entirely; it also never charges queue capacity
+            # fingerprint and skips the queue and the solve entirely; it
+            # also never charges queue capacity
             pending.fingerprint = graph_fingerprint(request.graph)
             hit = self._cache.get(pending.fingerprint)
             if hit is not None:
@@ -406,8 +414,10 @@ class Server:
             # itself: the queue was empty (it may be in an unbounded
             # wait), this arrival filled a bucket to its cap, or it
             # carries a deadline that may tighten the next flush time.
-            # Everything else is picked up within the batching window,
-            # and waking the scheduler per submission costs more than
+            # Anything else joins a queue the scheduler already knows
+            # about: it is taken when a worker frees (a finished batch
+            # wakes the scheduler) or an opt-in hold expires, and
+            # waking the scheduler per submission costs more than
             # serving the request.
             was_empty = self._planner.queued_count() == 0
             full = self._planner.add(pending)
@@ -461,12 +471,16 @@ class Server:
                         self._resolve(pending, RequestStatus.CANCELLED)
                     self._idle_cv.notify_all()
                     return
+                free = self.config.workers - self._batches
                 dispatches = self._planner.take_ready(
-                    force=(self._state == "draining")
+                    force=(self._state == "draining"), free=free
                 )
                 if not dispatches:
-                    self._work_cv.wait(self._planner.next_due())
+                    # with no worker free next_due is None: block until
+                    # an arrival or a finished batch notifies
+                    self._work_cv.wait(self._planner.next_due(free=free))
                     continue
+                self._batches += len(dispatches)
                 self._in_flight += sum(len(b) for b in dispatches)
                 self._space_cv.notify_all()
             for batch in dispatches:
@@ -574,7 +588,11 @@ class Server:
         finally:
             with self._lock:
                 self._in_flight -= len(batch)
-                if self._in_flight == 0 and self._queued_locked() == 0:
+                self._batches -= 1
+                if self._queued_locked():
+                    # a worker is free and the planner holds work
+                    self._work_cv.notify()
+                elif self._in_flight == 0:
                     self._idle_cv.notify_all()
 
     def _check_cache(self, runnable: List[PendingRequest],

@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.core.api import ComponentsResult, gca_connected_components
 from repro.graphs.generators import from_edges, union_of_cliques
+from repro.hirschberg.edgelist import random_edge_list
 
 
 class TestGcaConnectedComponents:
@@ -52,6 +53,23 @@ class TestEarlyExit:
         with pytest.raises(ValueError, match="early_exit"):
             repro.connected_components(union_of_cliques([2]),
                                        engine="contracting", early_exit=True)
+
+    def test_auto_ignores_flag_and_dispatches(self):
+        """``auto`` dispatches through the rule table whatever the flag
+        says, instead of forcing the dense field (0.6 s here)."""
+        g = random_edge_list(4096, 3 * 4096, seed=0)
+        res = repro.connected_components(g, engine="auto", early_exit=True)
+        assert res.method == "contracting"
+        plain = repro.connected_components(g, engine="auto")
+        assert np.array_equal(res.labels, plain.labels)
+
+    def test_auto_with_flag_past_the_dense_field_limit(self):
+        """n = 10 000 is too large for the dense field; with the flag
+        set ``auto`` used to raise instead of dispatching."""
+        g = random_edge_list(10_000, 30_000, seed=1)
+        res = repro.connected_components(g, engine="auto", early_exit=True)
+        assert res.method == "contracting"
+        assert res.labels.shape == (10_000,)
 
 
 class TestComponentsResult:

@@ -230,6 +230,71 @@ class TestFlushTriggers:
         assert planner.take_ready(force=True) == []
 
 
+class TestWorkConserving:
+    """The flush rule: at most one flush per free worker, most urgent
+    bucket first; nothing flushes while every worker is busy."""
+
+    def test_default_dispatches_at_once(self):
+        planner = BatchPlanner()
+        planner.add(_pending(submitted_at=100.0))
+        assert [len(b) for b in planner.take_ready(now=100.0, free=1)] == [1]
+
+    def test_no_free_worker_returns_nothing(self):
+        planner = BatchPlanner(coalesce_units=80)
+        for _ in range(3):  # full bucket, and past any window
+            planner.add(_pending(n=8, m=16, submitted_at=100.0))
+        assert planner.take_ready(now=200.0, free=0) == []
+        assert planner.queued_count() == 3
+
+    def test_busy_workers_let_the_bucket_coalesce(self):
+        planner = BatchPlanner()
+        for t in range(5):
+            planner.add(_pending(submitted_at=100.0 + t))
+            assert planner.take_ready(now=100.0 + t, free=0) == []
+        flushes = planner.take_ready(now=105.0, free=1)
+        assert [len(b) for b in flushes] == [5]
+
+    def test_one_free_worker_takes_the_most_urgent_bucket(self):
+        planner = BatchPlanner()
+        older = _pending(n=8, submitted_at=100.0)
+        newer = _pending(n=64, m=128, submitted_at=101.0)
+        urgent = _pending(n=512, m=1024, submitted_at=102.0,
+                          deadline_at=150.0)
+        for p in (older, newer, urgent):
+            planner.add(p)
+        assert planner.take_ready(now=103.0, free=1) == [[urgent]]
+        assert planner.take_ready(now=103.0, free=1) == [[older]]
+        assert planner.take_ready(now=103.0, free=1) == [[newer]]
+
+    def test_free_caps_the_flush_count(self):
+        planner = BatchPlanner(coalesce_units=80)
+        for _ in range(5):  # cap 2: three flushes' worth
+            planner.add(_pending(n=8, m=16, submitted_at=100.0))
+        flushes = planner.take_ready(now=100.0, free=2)
+        assert [len(b) for b in flushes] == [2, 2]
+        assert planner.queued_count() == 1
+
+    def test_force_ignores_free(self):
+        planner = BatchPlanner(coalesce_units=80)
+        for _ in range(5):
+            planner.add(_pending(n=8, m=16, submitted_at=100.0))
+        flushes = planner.take_ready(now=100.0, force=True, free=0)
+        assert [len(b) for b in flushes] == [2, 2, 1]
+        assert planner.queued_count() == 0
+
+    def test_opt_in_hold_still_applies_with_a_free_worker(self):
+        planner = BatchPlanner(max_wait=0.5)
+        planner.add(_pending(submitted_at=100.0))
+        assert planner.take_ready(now=100.1, free=1) == []
+        assert planner.next_due(now=100.1, free=1) == pytest.approx(0.4)
+
+    def test_next_due_none_while_no_worker_is_free(self):
+        planner = BatchPlanner()
+        planner.add(_pending(submitted_at=100.0, deadline_at=100.001))
+        assert planner.next_due(now=100.0, free=0) is None
+        assert planner.next_due(now=100.0, free=1) == 0.0
+
+
 class TestNextDue:
     def test_none_when_empty(self):
         assert BatchPlanner().next_due(now=0.0) is None

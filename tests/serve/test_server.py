@@ -1,5 +1,6 @@
 """End-to-end tests for the micro-batching Server."""
 
+import sys
 import threading
 import time
 
@@ -189,22 +190,137 @@ class TestBackpressure:
         assert all(r.status is RequestStatus.OK for r in responses)
 
 
-def _slow_engines(monkeypatch, seconds: float) -> None:
-    """Patch every execution backend to sleep before solving, so a
-    single worker can be saturated deterministically."""
+def _hook_engines(monkeypatch, before) -> None:
+    """Patch every execution backend to call ``before()`` first."""
     real_coalesced = server_module.solve_coalesced
     real_solo = server_module.solve_solo
 
-    def slow_coalesced(graphs, engine="contracting"):
-        time.sleep(seconds)
+    def hooked_coalesced(graphs, engine="contracting"):
+        before()
         return real_coalesced(graphs, engine)
 
-    def slow_solo(graph, engine):
-        time.sleep(seconds)
+    def hooked_solo(graph, engine):
+        before()
         return real_solo(graph, engine)
 
-    monkeypatch.setattr(server_module, "solve_coalesced", slow_coalesced)
-    monkeypatch.setattr(server_module, "solve_solo", slow_solo)
+    monkeypatch.setattr(server_module, "solve_coalesced", hooked_coalesced)
+    monkeypatch.setattr(server_module, "solve_solo", hooked_solo)
+
+
+def _slow_engines(monkeypatch, seconds: float) -> None:
+    """Patch every execution backend to sleep before solving, so a
+    single worker can be saturated deterministically."""
+    _hook_engines(monkeypatch, lambda: time.sleep(seconds))
+
+
+def _gate_engines(monkeypatch):
+    """Patch the execution backends to block until ``release`` is set;
+    ``entered`` fires when a worker reaches one.  Patch after the
+    server started, or its warm-up solve blocks too."""
+    entered, release = threading.Event(), threading.Event()
+
+    def gate():
+        entered.set()
+        release.wait(10.0)
+
+    _hook_engines(monkeypatch, gate)
+    return entered, release
+
+
+class TestWorkConservingFlush:
+    def test_requests_coalesce_while_the_only_worker_is_held(
+            self, monkeypatch):
+        graphs = [random_edge_list(8, 16, seed=s) for s in range(6)]
+        with Server(workers=1) as server:
+            entered, release = _gate_engines(monkeypatch)
+            wakeups = {"count": 0}
+            real_take = server._planner.take_ready
+
+            def counting_take(*args, **kwargs):
+                wakeups["count"] += 1
+                return real_take(*args, **kwargs)
+
+            server._planner.take_ready = counting_take
+            try:
+                blocker = server.submit(graphs[0])
+                assert entered.wait(10.0)
+                handles = [server.submit(g) for g in graphs[1:]]
+                before = wakeups["count"]
+                time.sleep(0.1)
+                # no free worker: the scheduler blocks, it does not poll
+                assert wakeups["count"] - before <= 2
+                assert server.queue_depth == 5
+            finally:
+                release.set()
+            responses = [h.response(timeout=10.0) for h in handles]
+            assert blocker.response(timeout=10.0).status is RequestStatus.OK
+        assert [r.batch_size for r in responses] == [5] * 5
+        for g, resp in zip(graphs[1:], responses):
+            assert resp.status is RequestStatus.OK
+            assert np.array_equal(resp.labels, _oracle(g))
+
+    def test_held_requests_count_against_max_queue(self, monkeypatch):
+        config = ServerConfig(workers=1, max_queue=3, admission="fail")
+        with Server(config) as server:
+            entered, release = _gate_engines(monkeypatch)
+            try:
+                blocker = server.submit(random_edge_list(8, 16, seed=0))
+                assert entered.wait(10.0)
+                held = [server.submit(random_edge_list(8, 16, seed=s))
+                        for s in range(1, 4)]
+                # long past any batching window: the held requests are
+                # still the scheduler's, not an executor queue's
+                time.sleep(0.05)
+                with pytest.raises(QueueFull):
+                    server.submit(random_edge_list(8, 16, seed=4))
+            finally:
+                release.set()
+            for handle in (blocker, *held):
+                assert handle.response(timeout=10.0).status is (
+                    RequestStatus.OK)
+
+
+    def test_dispatched_batches_never_exceed_workers(self):
+        """Stress: four submitting threads, three workers, a tiny switch
+        interval.  A lost update of the in-flight batch count would let
+        the scheduler dispatch more batches than there are workers, or
+        leave the count off zero at the end."""
+        seen = []
+        graphs = [random_edge_list(8 << (s % 3), 16 << (s % 3), seed=s)
+                  for s in range(300)]
+        handles = [None] * len(graphs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        server = Server(workers=3).start()
+        try:
+            real_submit = server._executor.submit
+
+            def recording_submit(fn, batch):
+                seen.append(server._batches)  # scheduler thread only
+                return real_submit(fn, batch)
+
+            server._executor.submit = recording_submit
+
+            def submit(offset):
+                for i in range(offset, len(graphs), 4):
+                    handles[i] = server.submit(graphs[i])
+
+            threads = [threading.Thread(target=submit, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+            responses = [h.response(timeout=30.0) for h in handles]
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert seen and max(seen) <= 3
+        assert server._batches == 0 and server.in_flight == 0
+        for g, resp in zip(graphs, responses):
+            assert resp.status is RequestStatus.OK
+            assert np.array_equal(resp.labels, _oracle(g))
 
 
 class TestDeadlines:

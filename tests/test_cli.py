@@ -63,6 +63,13 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "converged at iteration 1 (41 generations)" in out
 
+    def test_early_exit_flag_auto(self, capsys):
+        assert main(["solve", "--random", "12", "--p", "0.4", "--seed", "1",
+                     "--method", "auto", "--early-exit"]) == 0
+        out = capsys.readouterr().out
+        assert "method = auto -> contracting" in out
+        assert "converged at iteration" not in out
+
     def test_early_exit_rejected_for_other_methods(self, capsys):
         assert main(["solve", "--random", "5", "--p", "0.5", "--seed", "0",
                      "--method", "interpreter", "--early-exit"]) == 2
