@@ -156,10 +156,7 @@ def canonical_edge_pairs(graph: GraphInput) -> Tuple[int, np.ndarray, np.ndarray
     fingerprint digests.
     """
     if isinstance(graph, EdgeListGraph):
-        lo = np.minimum(graph.src, graph.dst)
-        hi = np.maximum(graph.src, graph.dst)
-        keep = lo != hi
-        lo, hi = _canonical_pairs(graph.n, lo[keep], hi[keep])
+        lo, hi = _canonical_pairs(graph.n, graph.src, graph.dst)
         return graph.n, lo, hi
     mat = graph.matrix if isinstance(graph, AdjacencyMatrix) else np.asarray(graph)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

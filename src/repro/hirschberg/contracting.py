@@ -81,7 +81,7 @@ from repro.graphs.adjacency import AdjacencyMatrix
 from repro.hirschberg.edgelist import (
     _PACK_LIMIT,
     EdgeListGraph,
-    _sorted_unique,
+    _unpack_unique,
 )
 from repro.util.intmath import jump_iterations, outer_iterations
 
@@ -91,7 +91,7 @@ GraphLike = Union[AdjacencyMatrix, np.ndarray]
 #: the table costs O(k^2) space but the dedup is pure linear passes.
 _DEDUP_TABLE_K = 4096
 
-#: Dedup via a packed-key sort (``_sorted_unique``) below this directed
+#: Dedup via a packed-key sort (``_unpack_unique``) below this directed
 #: edge count; beyond it a comparison sort costs more than the
 #: duplicates it saves.  Re-measured with the sort-and-mask dedup
 #: rather than a hashing ``np.unique``: lifting the limit slowed the
@@ -199,15 +199,18 @@ def _dedup_edges(
         # packed keys sorted, i.e. already in CSR row order.
         table = np.zeros(k * k, dtype=bool)
         table[src * np.int64(k) + dst] = True
-        key = np.flatnonzero(table)
-        return key // k, key % k, True
+        src, dst = np.divmod(np.flatnonzero(table), k)
+        return src, dst, True
     if src.size <= _DEDUP_SORT_M and k <= _PACK_LIMIT:
         # the k guard keeps the packed key inside int64: beyond the
         # limit ``src * k + dst`` would wrap silently and the "dedup"
         # would merge unrelated edges -- skipping dedup is always safe
         # (duplicates only cost time, never correctness)
-        key = _sorted_unique(src * np.int64(k) + dst)
-        return key // k, key % k, True
+        key = src * np.int64(k)
+        key += dst
+        key.sort()
+        src, dst = _unpack_unique(k, key)
+        return src, dst, True
     return src, dst, False
 
 

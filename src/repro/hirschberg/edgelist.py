@@ -13,8 +13,17 @@ tests) -- so it also documents that the paper's mapping decisions
 (the ``n^2`` temporaries, the tree reductions) are an artefact of the
 *dense* target architecture, not of the algorithm.
 
-Scales comfortably to hundreds of thousands of nodes; see
-``benchmarks/bench_edgelist_scaling.py``.
+The constructors turn raw endpoint arrays (any orientation, self-loops
+and repeats allowed) into the canonical directed form in one packed
+int64 buffer: ``lo * n + hi`` is packed in place, sorted in place and
+unpacked by one ``divmod`` straight into the output.  Their peak memory
+above the input is the larger of the output (4 words per distinct pair)
+and about 2.1 words per raw pair; 10^6 nodes with 5*10^6 pairs
+canonicalise in about 0.3 s on a 2-core x86 host (E33).  The
+scatter-min iteration is timed against union-find up to 10^5 nodes in
+``benchmarks/bench_edgelist_scaling.py``; at 10^6 nodes and beyond the
+contracting engine (:mod:`repro.hirschberg.contracting`) solves these
+graphs level by level.
 """
 
 from __future__ import annotations
@@ -42,6 +51,16 @@ GraphLike = Union[AdjacencyMatrix, np.ndarray]
 _PACK_LIMIT = 3_000_000_000
 
 
+def _first_of_runs(key: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in the
+    sorted 1-D array ``key``."""
+    first = np.empty(key.size, dtype=bool)
+    if key.size:
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
     """The sorted distinct values of the 1-D integer array ``key``.
 
@@ -53,30 +72,120 @@ def _sorted_unique(key: np.ndarray) -> np.ndarray:
     path serves every version.
     """
     key = np.sort(key)
-    if key.size < 2:
-        return key
-    keep = np.empty(key.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    return key[keep]
+    return key[_first_of_runs(key)]
 
 
-def _canonical_pairs(
-    n: int, lo: np.ndarray, hi: np.ndarray
+def _unpack_unique(k: int, key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted duplicate-free ``(key // k, key % k)`` pairs of the
+    sorted packed keys ``key``, unpacked by one ``divmod`` whose
+    remainder overwrites the compressed keys."""
+    hi = key[_first_of_runs(key)]
+    lo = np.empty_like(hi)
+    np.divmod(hi, k, out=(lo, hi))
+    return lo, hi
+
+
+def _ordered_pairs(
+    n: int, u: np.ndarray, v: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted, duplicate-free ``(lo, hi)`` pairs with ``lo < hi``."""
-    if lo.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if n <= _PACK_LIMIT:
-        key = lo * np.int64(n)
-        key += hi
-        return np.divmod(_sorted_unique(key), n)
+    """Fresh int64 ``(min(u, v), max(u, v))``, with every endpoint
+    checked against ``range(n)``."""
+    lo = np.minimum(u, v, dtype=np.int64)
+    hi = np.maximum(u, v, dtype=np.int64)
+    if lo.size:
+        _check_range(n, int(lo.min()), int(hi.max()))
+    return lo, hi
+
+
+def _check_range(n: int, low: int, high: int) -> None:
+    if low < 0 or high >= n:
+        raise IndexError(
+            f"edge endpoint out of range for n={n}: "
+            f"saw values in [{low}, {high}]"
+        )
+
+
+def _sorted_pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The packed ``lo * n + hi`` keys of the raw pairs without
+    self-loops, sorted, duplicates kept.  Needs ``n <= _PACK_LIMIT``.
+
+    The key is packed into the ``lo`` buffer and sorted in place;
+    self-loops become ``-1`` and are sliced off the front after the
+    sort, so the only pair-sized arrays allocated are ``lo``, ``hi``
+    (released once packed) and a mask of the loops.
+    """
+    key, hi = _ordered_pairs(n, u, v)
+    loops = key == hi
+    key *= n
+    key += hi
+    del hi
+    dropped = int(np.count_nonzero(loops))
+    if dropped:
+        np.copyto(key, -1, where=loops)
+    del loops
+    key.sort()
+    return key[dropped:]
+
+
+def _lexsorted_pairs(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The canonical pairs by lexsort, for ``n`` past the packing limit."""
+    lo, hi = _ordered_pairs(n, u, v)
+    keep = lo != hi
+    if not keep.all():
+        lo, hi = lo[keep], hi[keep]
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     keep = np.ones(lo.size, dtype=bool)
     keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     return lo[keep], hi[keep]
+
+
+def _canonical_pairs(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted, duplicate-free ``(lo, hi)`` pairs with ``lo < hi`` of
+    the raw endpoint arrays ``u``, ``v`` (any orientation, self-loops
+    and repeats allowed; ids checked against ``range(n)``)."""
+    if n > _PACK_LIMIT:
+        return _lexsorted_pairs(n, u, v)
+    return _unpack_unique(n, _sorted_pair_keys(n, u, v))
+
+
+def _canonical_directed(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of :class:`EdgeListGraph`: the canonical pairs of
+    the raw arrays followed by their mirror.
+
+    The distinct keys are unpacked straight into ``src``, whose halves
+    are then mirrored into ``dst``, so the peak above the input is the
+    output itself: no filtered copies, no ``lo``/``hi`` pair, no
+    concatenation.
+    """
+    if n > _PACK_LIMIT:
+        lo, hi = _lexsorted_pairs(n, u, v)
+        return np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    key = _sorted_pair_keys(n, u, v)
+    key = key[_first_of_runs(key)]
+    k = key.size
+    src = np.empty(2 * k, dtype=np.int64)
+    np.divmod(key, n, out=(src[:k], src[k:]))
+    del key
+    dst = np.empty(2 * k, dtype=np.int64)
+    dst[:k] = src[k:]
+    dst[k:] = src[:k]
+    return src, dst
+
+
+def _as_ids(a) -> np.ndarray:
+    """``a`` as a 1-D integer array: an ndarray whose dtype casts safely
+    to int64 is used as is (the kernels widen on the fly), anything
+    else is converted to int64."""
+    if not (isinstance(a, np.ndarray) and np.can_cast(a.dtype, np.int64)):
+        a = np.asarray(a, dtype=np.int64)
+    return a.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -116,26 +225,20 @@ class EdgeListGraph:
         duplicate-free ``u < v`` pairs.
         """
         check_positive("n", n)
-        u = np.ascontiguousarray(u, dtype=np.int64).ravel()
-        v = np.ascontiguousarray(v, dtype=np.int64).ravel()
+        if assume_canonical:
+            u = np.ascontiguousarray(u, dtype=np.int64).ravel()
+            v = np.ascontiguousarray(v, dtype=np.int64).ravel()
+        else:
+            u, v = _as_ids(u), _as_ids(v)
         if u.shape != v.shape:
             raise ValueError(
                 f"endpoint arrays differ in length: {u.size} vs {v.size}"
             )
-        if u.size:
-            low = min(int(u.min()), int(v.min()))
-            high = max(int(u.max()), int(v.max()))
-            if low < 0 or high >= n:
-                raise IndexError(
-                    f"edge endpoint out of range for n={n}: "
-                    f"saw values in [{low}, {high}]"
-                )
         if not assume_canonical:
-            keep = u != v  # drop self-loops up front
-            if not keep.all():
-                u, v = u[keep], v[keep]
-            u, v = _canonical_pairs(n, np.minimum(u, v), np.maximum(u, v))
-        if u.size:
+            src, dst = _canonical_directed(n, u, v)
+        elif u.size:
+            _check_range(n, min(int(u.min()), int(v.min())),
+                         max(int(u.max()), int(v.max())))
             src = np.concatenate([u, v])
             dst = np.concatenate([v, u])
         else:
@@ -265,10 +368,7 @@ def random_edge_list(
     rng = as_generator(seed)
     u = rng.integers(0, n, size=2 * m)
     v = rng.integers(0, n, size=2 * m)
-    keep = u != v
-    lo = np.minimum(u[keep], v[keep])
-    hi = np.maximum(u[keep], v[keep])
-    lo, hi = _canonical_pairs(n, lo, hi)
+    lo, hi = _canonical_pairs(n, u, v)
     return EdgeListGraph.from_arrays(n, lo[:m], hi[:m], assume_canonical=True)
 
 

@@ -280,6 +280,31 @@ class BatchPlanner:
         self._queued = 0
         return out
 
+    def take_expired(self, now: float) -> List[PendingRequest]:
+        """Remove and return the held members whose deadline has passed
+        (``deadline_at <= now``), so they stop taking queue slots.
+
+        Buckets whose cached tightest deadline is still ahead are
+        skipped without a scan of their members.
+        """
+        expired: List[PendingRequest] = []
+        for key, bucket in list(self._buckets.items()):
+            if bucket.min_deadline > now:
+                continue
+            live = []
+            for pending in bucket.members:
+                if pending.deadline_at is not None and pending.deadline_at <= now:
+                    expired.append(pending)
+                else:
+                    live.append(pending)
+            bucket.members = live
+            if live:
+                bucket.refresh()
+            else:
+                del self._buckets[key]
+        self._queued -= len(expired)
+        return expired
+
     # -- estimates and engine choice ---------------------------------
     def estimate_batch_seconds(self, key: BucketKey, occupancy: int,
                                mean_m: float) -> float:

@@ -15,7 +15,9 @@ Lifecycle of one request:
 1. **Admission** (caller's thread).  A bounded queue applies the
    configured backpressure policy -- ``"block"`` the caller until space
    frees, ``"shed"`` (resolve immediately with status ``SHED``) or
-   ``"fail"`` (raise :class:`~repro.serve.request.QueueFull`).
+   ``"fail"`` (raise :class:`~repro.serve.request.QueueFull`).  A full
+   queue first gives up the held requests whose deadline has passed
+   (resolved ``TIMEOUT``), so dead requests never shed live ones.
 2. **Scheduling** (the scheduler thread).  Admitted requests are filed
    into size/kind buckets by the
    :class:`~repro.serve.scheduler.BatchPlanner`, which flushes a bucket
@@ -101,7 +103,9 @@ class ServerConfig:
         Admission bound: requests held by the scheduler (admitted, not
         yet on a worker) beyond this trigger the backpressure policy.
         Since at most ``workers`` batches are dispatched at a time,
-        every admitted request that is not running counts.
+        every admitted request that is not running counts, except that
+        a full queue first resolves held requests past their deadline
+        as ``TIMEOUT`` to free their slots.
     admission:
         ``"block"`` (default), ``"shed"`` or ``"fail"`` -- see module
         docstring.
@@ -393,6 +397,8 @@ class Server:
                     f"server is {self._state}; not accepting requests"
                 )
             while self._queued_locked() >= self.config.max_queue:
+                if self._expire_held_locked():
+                    continue  # expired members freed slots: re-check
                 if self.config.admission == "shed":
                     self.metrics.record_submitted(admitted=False)
                     self._resolve(pending, RequestStatus.SHED)
@@ -461,6 +467,17 @@ class Server:
     # -- internals -----------------------------------------------------
     def _queued_locked(self) -> int:
         return self._planner.queued_count()
+
+    def _expire_held_locked(self) -> bool:
+        """Resolve held requests whose deadline has passed as
+        ``TIMEOUT``, freeing their queue slots; ``True`` if any were."""
+        expired = self._planner.take_expired(time.monotonic())
+        for pending in expired:
+            self.metrics.record_timeout()
+            self._resolve(pending, RequestStatus.TIMEOUT)
+        if expired:
+            self._space_cv.notify_all()
+        return bool(expired)
 
     def _scheduler_loop(self) -> None:
         while True:

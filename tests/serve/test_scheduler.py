@@ -374,3 +374,30 @@ class TestValidation:
     def test_bad_coalesce_units(self):
         with pytest.raises(ValueError, match="coalesce_units"):
             BatchPlanner(coalesce_units=0)
+
+
+class TestTakeExpired:
+    def test_removes_only_past_deadline_members(self):
+        planner = BatchPlanner()
+        dead = [_pending(submitted_at=0.0, deadline_at=1.0),
+                _pending(submitted_at=0.5, deadline_at=2.0)]
+        live = [_pending(submitted_at=1.0, deadline_at=9.0),
+                _pending(submitted_at=3.0)]
+        for p in (*dead, *live):
+            planner.add(p)
+        assert planner.take_expired(2.0) == dead
+        assert planner.queued_count() == 2
+        (bucket,) = planner._buckets.values()
+        assert bucket.members == live
+        # the cached aggregates describe the survivors only
+        assert bucket.oldest == 1.0 and bucket.min_deadline == 9.0
+        assert bucket.units == sum(p.n + 2 * p.m for p in live)
+
+    def test_drops_emptied_buckets_and_skips_unexpired(self):
+        planner = BatchPlanner()
+        planner.add(_pending(n=8, deadline_at=1.0))
+        planner.add(_pending(n=64, m=100, deadline_at=50.0))
+        assert planner.take_expired(0.5) == []
+        assert len(planner.take_expired(1.0)) == 1
+        assert [b.key.size for b in planner._buckets.values()] == [64]
+        assert planner.queued_count() == 1

@@ -279,6 +279,29 @@ class TestWorkConservingFlush:
                 assert handle.response(timeout=10.0).status is (
                     RequestStatus.OK)
 
+    def test_expired_held_requests_free_their_slots(self, monkeypatch):
+        config = ServerConfig(workers=1, max_queue=2, admission="shed")
+        with Server(config) as server:
+            entered, release = _gate_engines(monkeypatch)
+            try:
+                blocker = server.submit(random_edge_list(8, 16, seed=0))
+                assert entered.wait(10.0)
+                expired = [server.submit(random_edge_list(8, 16, seed=s),
+                                         deadline=0.001)
+                           for s in (1, 2)]
+                time.sleep(0.02)
+                assert server.queue_depth == 2
+                admitted = server.submit(random_edge_list(8, 16, seed=3))
+                assert not admitted.done()  # held, not shed
+                assert server.queue_depth == 1
+            finally:
+                release.set()
+            for handle in expired:
+                assert handle.response(timeout=10.0).status is (
+                    RequestStatus.TIMEOUT)
+            assert admitted.response(timeout=10.0).status is RequestStatus.OK
+            assert blocker.response(timeout=10.0).status is RequestStatus.OK
+        assert server.metrics.timed_out == 2 and server.metrics.shed == 0
 
     def test_dispatched_batches_never_exceed_workers(self):
         """Stress: four submitting threads, three workers, a tiny switch
