@@ -45,6 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.hirschberg.edgelist import _compact_ids
 from repro.util.validation import check_positive
 
 PathLike = Union[str, Path]
@@ -568,9 +569,7 @@ def spot_check_labels(
 
         eu = np.concatenate(sub_u)
         ev = np.concatenate(sub_v)
-        verts_all, inverse = np.unique(
-            np.concatenate([eu, ev]), return_inverse=True
-        )
+        verts_all, inverse = _compact_ids(eu, ev)
         lu, lv = inverse[:eu.size], inverse[eu.size:]
         uf = UnionFind(int(verts_all.size))
         for a, b in zip(lu.tolist(), lv.tolist()):

@@ -1,4 +1,4 @@
-"""Contracting sparse (CSR) variant of Hirschberg's algorithm.
+"""Contracting sparse variant of Hirschberg's algorithm.
 
 The edge-list variant (:mod:`repro.hirschberg.edgelist`) already brings
 the paper's algorithm from ``Theta(n^2)`` field cells down to
@@ -11,33 +11,37 @@ iteration has merged vertices into supervertices, the next iteration only
 needs the *contracted* graph -- one vertex per supervertex, with
 intra-supervertex and duplicate edges removed.
 
-This module implements that scheme.  Each outer iteration:
+This module implements that scheme on one ``(a, b)`` pair per
+undirected edge, the edge set the Liu--Tarjan and Burkhardt algorithms
+are stated over.  Each outer iteration:
 
 1. runs Hirschberg's steps 2-6 on the current contracted graph.  The
    labels start every level from the identity (each supervertex is its
    own supernode), so step 2 reduces to "minimum neighbour per vertex"
-   and step 3 to the identity.  The reduction runs either as a
-   MIN-combining scatter (``np.minimum.at`` -- the CRCW-MIN discipline of
-   :mod:`repro.hirschberg.fastsv`) or, when the level's CSR rows are
-   sorted, as a first-entry read off the CSR structure;
+   and step 3 to the identity.  The reduction is two MIN-combining
+   scatters, ``b`` into ``a`` and ``a`` into ``b`` (``np.minimum.at`` --
+   the CRCW-MIN discipline of :mod:`repro.hirschberg.fastsv`);
 2. relabels the surviving supervertices to a dense ``0..k-1`` range in
    O(n_t) -- the hook forest is idempotent after step 6 (all cycles are
    mutual pairs, resolved to their minimum), so the representatives are
-   exactly the fixed points of the label array and no sort is needed;
-3. maps the edges through the relabelling and drops the
+   exactly the fixed points of the label array, and one scatter of
+   ``arange(k)`` numbers them with no sort or prefix sum;
+3. maps the pairs through the relabelling and drops the
    intra-supervertex survivors, so level ``t+1`` runs on ``(n_{t+1},
    m_{t+1})`` instead of ``(n, m)``;
-4. drops duplicate (parallel) contracted edges and rebuilds sorted CSR
-   rows **when that is linear-time profitable**: via a counting-table
-   dedup once ``k^2`` is comparable to the edge count, or via a packed
-   sort once the level is small.  Early huge levels skip the dedup --
-   a comparison sort of millions of keys costs more than the duplicate
-   scatters it would save (measured in
+4. drops duplicate contracted pairs (either orientation) as packed
+   ``min * k + max`` keys **when that is cheap**: by an in-place sort up
+   to ``2**18`` pairs, by a ``k * k`` counting table past that when
+   ``k <= 4096``.  Both give the same sorted ``(lo, hi)`` arrays.  Early
+   huge levels skip the dedup -- a comparison sort of millions of keys
+   costs more than the duplicate scatters it would save (measured in
    ``benchmarks/bench_sparse_scaling.py``) -- which only delays, never
-   loses, edges: the per-level edge count is non-increasing either way.
+   loses, edges: the per-level pair count is non-increasing either way.
 
-A per-level minimum-original-index array plays the contraction stack:
-composing the per-level vertex maps and reading that array off at the end
+A per-level minimum-original-index array plays the contraction stack
+(each representative is its group's minimum member, so the array is a
+gather of the last one at the representatives): composing the per-level
+vertex maps and reading that array off at the end
 reproduces the paper's canonical labelling (component label = minimum
 *original* node index), validated against
 :func:`repro.hirschberg.fastsv.fastsv_reference` and the union-find
@@ -55,7 +59,7 @@ Once a giant component forms, both endpoints of almost every later
 edge already share a root.  Uncapped runs on ``m >= 3n`` undirected
 edges, ``m >= 2 * first`` for ``first = max(2**16, n // 4)``, that are
 not id-local therefore stream their pairs (the ``u < v`` half of a
-canonical graph, the full arrays otherwise) past a resident star
+canonical graph, the ``src < dst`` entries otherwise) past a resident star
 forest ``L`` (vertex -> minimum vertex of its component so far).  Each
 contiguous chunk of ``max(first, pairs done)`` pairs gathers ``L[u]``,
 ``L[v]`` and drops the pairs that agree (Afforest's filter); the
@@ -78,27 +82,23 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graphs.adjacency import AdjacencyMatrix
-from repro.hirschberg.edgelist import (
-    _PACK_LIMIT,
-    EdgeListGraph,
-    _unpack_unique,
-)
+from repro.hirschberg.edgelist import _PACK_LIMIT, EdgeListGraph, _unpack_unique
 from repro.util.intmath import jump_iterations, outer_iterations
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
-#: Dedup via a k*k counting table when it fits comfortably in memory:
-#: the table costs O(k^2) space but the dedup is pure linear passes.
+#: Past the sort cap, dedup via a k*k counting table up to this k.  Below
+#: the cap the sort runs: at k = 4096 with 16k pairs the 16 MB table took
+#: 6.4 ms against the sort's 0.23 ms (E34).
 _DEDUP_TABLE_K = 4096
 
-#: Dedup via a packed-key sort (``_unpack_unique``) below this directed
-#: edge count; beyond it a comparison sort costs more than the
-#: duplicates it saves.  Re-measured with the sort-and-mask dedup
-#: rather than a hashing ``np.unique``: lifting the limit slowed the
+#: Dedup via a packed-key sort (``_unpack_unique``) up to this many
+#: pairs (2**19 directed edges); beyond it a comparison sort costs more
+#: than the duplicates it saves.  Lifting the limit slowed the
 #: contracting solve of n=10^6, m=5*10^6 random pairs from 0.53 s to
 #: 0.84 s and of n=5*10^5, m=4*10^6 from 0.42 s to 0.57 s (2-core x86
 #: host, NumPy 2.4), so the limit still pays.
-_DEDUP_SORT_M = 1 << 19
+_DEDUP_SORT_M = 1 << 18
 
 #: Test pointer-jumping convergence (early exit) only on levels at least
 #: this big; below it the test costs more than the jumps it can save.
@@ -113,14 +113,14 @@ class ContractionLevel:
     """The problem size one outer iteration actually ran on."""
 
     n: int            #: supervertices entering the level
-    m: int            #: directed edge-array length entering the level
+    m: int            #: both orientations: 2 x the pairs entering the level
     jumps: int        #: pointer jumps executed (early-exits on convergence)
-    deduplicated: bool  #: whether this level's edges were CSR-sorted/unique
+    deduplicated: bool  #: whether this level's pairs were sorted/unique
 
     @property
     def edge_count(self) -> int:
-        """Undirected edge count entering the level (duplicates included
-        on levels the dedup policy skipped)."""
+        """Pairs entering the level (duplicates included on levels the
+        dedup policy skipped)."""
         return self.m // 2
 
 
@@ -155,74 +155,68 @@ class ContractingResult:
 
     @property
     def total_work(self) -> int:
-        """``sum(n_t + m_t)`` over the levels.  On a level-loop run that
-        is the contracted work, to set against the edge-list variant's
+        """``sum(n_t + m_t)`` over the levels, ``m_t`` counting both
+        orientations (2 x pairs).  On a level-loop run that is the
+        contracted work, to set against the edge-list variant's
         ``iterations * (n + m)``; on a streamed run it leaves out the
         filter's touches (class docstring)."""
         return sum(level.n + level.m for level in self.levels)
 
 
-def _min_neighbour(
-    n: int, src: np.ndarray, dst: np.ndarray, sorted_rows: bool
-) -> np.ndarray:
+def _min_neighbour(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Step 2 from identity labels: ``T[u] = min(neighbours of u)``,
     ``T[u] = u`` for isolated ``u``.
 
-    With sorted CSR rows the row minimum is the row's first entry; with
-    unsorted rows it is a MIN-combining scatter.
+    Each pair names its edge once, so the reduction is two
+    MIN-combining scatters, one per endpoint.
     """
-    T = np.arange(n, dtype=np.int64)
-    if sorted_rows:
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        nonempty = indptr[:-1] < indptr[1:]
-        T[nonempty] = dst[indptr[:-1][nonempty]]
-    elif src.size:
-        sentinel = np.int64(n)
-        scattered = np.full(n, sentinel, dtype=np.int64)
-        np.minimum.at(scattered, src, dst)
-        found = scattered != sentinel
-        T[found] = scattered[found]
+    T = np.full(n, n, dtype=np.int64)
+    np.minimum.at(T, a, b)
+    np.minimum.at(T, b, a)
+    isolated = T == n
+    T[isolated] = np.flatnonzero(isolated)
     return T
 
 
 def _dedup_edges(
-    k: int, src: np.ndarray, dst: np.ndarray
+    k: int, a: np.ndarray, b: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Drop duplicate directed edges and sort into CSR row order -- but
-    only through a linear-time (counting) or small sort; large levels are
-    returned unchanged with ``deduplicated=False``."""
-    if src.size == 0:
-        return src, dst, True
-    if k <= _DEDUP_TABLE_K:
-        # O(m + k^2) counting dedup; flatnonzero returns the surviving
-        # packed keys sorted, i.e. already in CSR row order.
-        table = np.zeros(k * k, dtype=bool)
-        table[src * np.int64(k) + dst] = True
-        src, dst = np.divmod(np.flatnonzero(table), k)
-        return src, dst, True
-    if src.size <= _DEDUP_SORT_M and k <= _PACK_LIMIT:
-        # the k guard keeps the packed key inside int64: beyond the
-        # limit ``src * k + dst`` would wrap silently and the "dedup"
-        # would merge unrelated edges -- skipping dedup is always safe
-        # (duplicates only cost time, never correctness)
-        key = src * np.int64(k)
-        key += dst
+    """Drop duplicate pairs (``(u, v)`` and ``(v, u)`` are one) into
+    sorted ``(lo, hi)`` order through packed ``min * k + max`` keys --
+    but only while that is cheap: a sort up to ``_DEDUP_SORT_M`` pairs,
+    a counting table past it for ``k <= _DEDUP_TABLE_K``.  Other levels
+    are returned unchanged with ``deduplicated=False``."""
+    if a.size == 0:
+        return a, b, True
+    # the k guard keeps the packed key inside int64: beyond the limit it
+    # would wrap silently and merge unrelated edges -- skipping dedup is
+    # always safe (duplicates only cost time, never correctness)
+    sort = a.size <= _DEDUP_SORT_M and k <= _PACK_LIMIT
+    if not sort and k > _DEDUP_TABLE_K:
+        return a, b, False
+    key = np.minimum(a, b)
+    key *= k
+    key += np.maximum(a, b)
+    if sort:
         key.sort()
-        src, dst = _unpack_unique(k, key)
-        return src, dst, True
-    return src, dst, False
+        return (*_unpack_unique(k, key), True)
+    # flatnonzero returns the surviving keys sorted, as the sort would
+    table = np.zeros(k * k, dtype=bool)
+    table[key] = True
+    lo, hi = np.divmod(np.flatnonzero(table), k)
+    return lo, hi, True
 
 
 def _one_contraction_round(
-    n: int, src: np.ndarray, dst: np.ndarray, sorted_rows: bool
-) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray, bool, int]:
+    n: int, a: np.ndarray, b: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, int]:
     """Steps 2-6 from identity labels, then contract.
 
-    Returns ``(phi, k, new_src, new_dst, new_sorted, jumps)`` where
-    ``phi`` maps each current vertex to its supervertex in ``0..k-1``.
+    Returns ``(phi, roots, new_a, new_b, deduplicated, jumps)`` where
+    ``phi`` maps each current vertex to its supervertex in ``0..k-1``
+    and ``roots`` lists the ``k`` representatives in ascending order.
     """
-    T = _min_neighbour(n, src, dst, sorted_rows)
+    T = _min_neighbour(n, a, b)
 
     # step 4: hook; step 5: pointer jumping; step 6: resolve mutual pairs.
     # The PRAM schedule prescribes ceil(log2 n) jumps, but hooking trees
@@ -233,7 +227,7 @@ def _one_contraction_round(
     # convergence test costs about one gather, so it only runs on levels
     # big enough for the saved jumps to outweigh it.
     check = n >= _JUMP_CHECK_N
-    C = T.copy()
+    C = T  # jumps rebind C, so T stays intact
     jumps = 0
     for _ in range(jump_iterations(n)):
         nxt = C[C]
@@ -245,47 +239,46 @@ def _one_contraction_round(
 
     # Min-neighbour hooking admits no cycles longer than two, and step 6
     # collapses each mutual pair to its minimum, so C is idempotent: the
-    # supervertex representatives are exactly its fixed points.  That
-    # yields a dense O(n) relabelling with no sort.
-    identity = np.arange(n, dtype=np.int64)
-    roots = C == identity
-    k = int(np.count_nonzero(roots))
-    new_id = np.cumsum(roots) - 1          # root -> dense id, in index order
+    # supervertex representatives are exactly its fixed points.  They
+    # get dense ids in index order by one scatter, with no sort.  Each
+    # is its tree's minimum: the minimum x hooks to some y whose minimum
+    # neighbour is x, and that mutual pair resolves to x.
+    roots = np.flatnonzero(C == np.arange(n))
+    k = int(roots.size)
+    new_id = T  # T is spent: its buffer takes the dense ids
+    new_id[roots] = np.arange(k)
     phi = new_id[C]
 
-    # contract the edges: map endpoints, drop intra-supervertex edges,
-    # then dedup/sort when the policy says it pays.
-    ns, nd = phi[src], phi[dst]
-    foreign = ns != nd
-    ns, nd = ns[foreign], nd[foreign]
-    ns, nd, new_sorted = _dedup_edges(k, ns, nd)
-    return phi, k, ns, nd, new_sorted, jumps
+    # contract the pairs: map endpoints, drop intra-supervertex pairs,
+    # then dedup when the policy says it pays.
+    a, b = phi[a], phi[b]
+    foreign = a != b
+    a, b, deduplicated = _dedup_edges(k, a[foreign], b[foreign])
+    return phi, roots, a, b, deduplicated, jumps
 
 
 def _contract(
-    n0: int, src: np.ndarray, dst: np.ndarray, limit: int
+    n0: int, a: np.ndarray, b: np.ndarray, limit: int
 ) -> ContractingResult:
-    """The level loop on self-loop-free directed edges."""
-    n, sorted_rows = n0, False
+    """The level loop on the self-loop-free pairs ``(a[i], b[i])``."""
+    n, deduplicated = n0, False
     to_current = np.arange(n0, dtype=np.int64)  # original -> current vertex
     orig_min = np.arange(n0, dtype=np.int64)    # current vertex -> min original
     levels: List[ContractionLevel] = []
 
-    while src.size and len(levels) < limit:
-        m, was_sorted = int(src.size), sorted_rows
-        phi, k, src, dst, sorted_rows, jumps = _one_contraction_round(
-            n, src, dst, sorted_rows
-        )
+    while a.size and len(levels) < limit:
+        m, was_deduplicated = 2 * int(a.size), deduplicated
+        phi, roots, a, b, deduplicated, jumps = _one_contraction_round(n, a, b)
         levels.append(ContractionLevel(
-            n=n, m=m, jumps=jumps, deduplicated=was_sorted,
+            n=n, m=m, jumps=jumps, deduplicated=was_deduplicated,
         ))
-        new_min = np.full(k, n0, dtype=np.int64)
-        np.minimum.at(new_min, phi, orig_min)
-        orig_min = new_min
+        # orig_min ascends, so a supervertex's minimum original is that
+        # of its representative, its minimum member
+        orig_min = orig_min[roots]
         to_current = phi[to_current]
-        n = k
+        n = int(roots.size)
 
-    return ContractingResult(orig_min[to_current], levels, not src.size)
+    return ContractingResult(orig_min[to_current], levels, not a.size)
 
 
 def _id_local(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -319,13 +312,26 @@ def _streamed(
         ids = np.flatnonzero(mark)  # ascending: local min = min root
         mark[ids] = False
         pos[ids] = np.arange(ids.size)
-        pa, pb = pos[a], pos[b]
-        chunk = _contract(ids.size, np.concatenate([pa, pb]),
-                          np.concatenate([pb, pa]), outer_iterations(ids.size))
+        chunk = _contract(ids.size, pos[a], pos[b], outer_iterations(ids.size))
         levels.extend(chunk.levels)
         L[ids] = ids[chunk.labels]  # each root -> its new minimum root
         L = L[L]
     return ContractingResult(L, levels, contracted_to_empty=True)
+
+
+def _solve_pairs(
+    n: int, a: np.ndarray, b: np.ndarray, max_levels: Optional[int] = None
+) -> ContractingResult:
+    """Canonical labels of the self-loop-free pairs ``(a[i], b[i])``, each
+    edge at least once: streamed or by the level loop (module docstring)."""
+    limit = outer_iterations(n) if max_levels is None else max_levels
+    if limit < 0:
+        raise ValueError(f"max_levels must be >= 0, got {limit}")
+    m, first = int(a.size), max(_STREAM_FIRST, n // 4)
+    if (max_levels is None and m >= 3 * n and m >= 2 * first
+            and not _id_local(n, a, b)):
+        return _streamed(n, a, b, first)
+    return _contract(n, a, b, limit)
 
 
 def connected_components_contracting(
@@ -347,19 +353,11 @@ def connected_components_contracting(
         if isinstance(graph, EdgeListGraph)
         else EdgeListGraph.from_adjacency(graph)
     )
-    n0 = g.n
-    limit = outer_iterations(n0) if max_levels is None else max_levels
-    if limit < 0:
-        raise ValueError(f"max_levels must be >= 0, got {limit}")
-
     src, dst = g.src, g.dst
-    m = g.edge_count
-    pairs = m if getattr(g, "_canonical", False) else src.size
-    first = max(_STREAM_FIRST, n0 // 4)
-    if (max_levels is None and m >= 3 * n0 and m >= 2 * first
-            and not _id_local(n0, src[:pairs], dst[:pairs])):
-        return _streamed(n0, src[:pairs], dst[:pairs], first)
-    keep = src != dst  # tolerate hand-built graphs with self-loops
-    if not keep.all():
-        src, dst = src[keep], dst[keep]
-    return _contract(n0, src, dst, limit)
+    if getattr(g, "_canonical", False):
+        half = g.edge_count  # the sorted duplicate-free u < v pairs
+        return _solve_pairs(g.n, src[:half], dst[:half], max_levels)
+    # both orientations of every edge are present, so the u < v entries
+    # name each edge (duplicates kept) and leave the self-loops out
+    upper = src < dst
+    return _solve_pairs(g.n, src[upper], dst[upper], max_levels)

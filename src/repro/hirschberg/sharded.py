@@ -13,12 +13,14 @@ decomposition:
    configured number of concurrent shard solves fits the memory budget.
 2. **Per-shard contraction** -- each shard is a subgraph over the
    *global* vertex ids.  A shard solve compacts the ids it actually
-   touches (``np.unique``), runs the existing contracting CSR engine
-   (:func:`~repro.hirschberg.contracting.connected_components_contracting`),
-   and emits its **frontier**: star pairs ``(v, rep)`` linking every
-   touched vertex to its shard-local component representative (the
-   minimum global id in that shard-component -- ``np.unique`` returns
-   sorted ids, so the local minimum index *is* the global minimum).
+   touches by one in-place sort of packed ``(id, position)`` keys
+   (``_compact_ids``; no scratch scales with ``n``), runs the
+   contracting engine's pair kernel on them
+   (:mod:`repro.hirschberg.contracting`), and emits its **frontier**:
+   star pairs ``(v, rep)`` linking every touched vertex to its
+   shard-local component representative (the minimum global id in that
+   shard-component -- the compacted ids are sorted, so the local minimum
+   index *is* the global minimum).
    Shards run either inline or on the PR 4
    :class:`~repro.serve.executor.PoolExecutor` -- endpoint arrays
    travel through shared-memory slabs with zero pickling, and a bounded
@@ -71,8 +73,8 @@ from repro.analysis.shards import (
     remove_workdir,
     spot_check_labels,
 )
-from repro.hirschberg.contracting import connected_components_contracting
-from repro.hirschberg.edgelist import EdgeListGraph
+from repro.hirschberg.contracting import _solve_pairs
+from repro.hirschberg.edgelist import EdgeListGraph, _compact_ids
 
 __all__ = [
     "ShardedResult",
@@ -106,29 +108,31 @@ def solve_shard_arrays(
     """Solve one shard; return its frontier star pairs.
 
     ``u``/``v`` hold global vertex ids in ``[0, n)``.  The shard is
-    compacted to the ids it touches, solved with the contracting engine,
-    and reduced to pairs ``(vertex, representative)`` for every touched
+    compacted to the ids it touches by one packed sort
+    (``edgelist._compact_ids``), its loop-free
+    pairs are solved by the contracting pair kernel, and the result is
+    reduced to pairs ``(vertex, representative)`` for every touched
     vertex whose shard-local representative differs from itself.
     Representatives are global minimum ids of their shard-component
-    (``np.unique`` sorts, so local index order is global id order, and
-    the engine labels each component by its minimum local index).
+    (the compaction sorts, so local index order is global id order, and
+    the kernel labels each component by its minimum local index).
     """
     u = np.asarray(u, dtype=np.int64).ravel()
     v = np.asarray(v, dtype=np.int64).ravel()
     if u.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    verts, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
+    verts, local = _compact_ids(u, v)
     if verts[0] < 0 or verts[-1] >= n:
         raise ValueError(
             f"shard endpoints outside [0, {n}): "
             f"min={int(verts[0])}, max={int(verts[-1])}"
         )
-    local_graph = EdgeListGraph.from_arrays(
-        int(verts.size), inverse[: u.size], inverse[u.size:]
-    )
-    local_labels = connected_components_contracting(local_graph).labels
-    reps = verts[local_labels]
+    a, b = local[: u.size], local[u.size:]
+    keep = a != b  # the kernel takes loop-free pairs
+    if not keep.all():
+        a, b = a[keep], b[keep]
+    reps = verts[_solve_pairs(int(verts.size), a, b).labels]
     keep = reps != verts
     return verts[keep], reps[keep]
 

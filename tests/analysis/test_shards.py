@@ -350,3 +350,74 @@ class TestSpotCheckProtocol:
         assert doc["ok"] is True
         assert doc["n"] == 200
         assert isinstance(doc["checks"], dict)
+
+
+class TestSpotCheckPinned:
+    """A seeded report, pinned field by field: the refinement check's
+    compaction must keep its vertex order and so its example order."""
+
+    CORRUPTED_VIOLATIONS = [
+        "edge (79, 1550) crosses labels 16 != 0",
+        "edge (84, 2847) crosses labels 0 != 2793",
+        "edge (194, 242) crosses labels 1784 != 0",
+        "edge (339, 1327) crosses labels 179 != 0",
+        "edge (435, 874) crosses labels 0 != 223",
+        "edge (442, 2068) crosses labels 125 != 0",
+        "edge (448, 944) crosses labels 0 != 1787",
+        "edge (538, 2010) crosses labels 0 != 1988",
+        "edge (673, 2113) crosses labels 0 != 6",
+        "edge (704, 2903) crosses labels 0 != 1658",
+        "edge (808, 2940) crosses labels 0 != 2018",
+        "edge (850, 1373) crosses labels 2221 != 0",
+        "edge (862, 2347) crosses labels 0 != 1816",
+        "subsample-connected vertices 1 and 850 carry labels 0 != 2221",
+        "subsample-connected vertices 850 and 973 carry labels 2221 != 0",
+        "subsample-connected vertices 16 and 414 carry labels 1870 != 0",
+        "subsample-connected vertices 38 and 657 carry labels 2288 != 0",
+        "subsample-connected vertices 79 and 189 carry labels 16 != 0",
+        "subsample-connected vertices 83 and 339 carry labels 0 != 179",
+        "subsample-connected vertices 339 and 588 carry labels 179 != 0",
+    ]
+
+    @staticmethod
+    def _report(corrupt: bool) -> dict:
+        g = random_edge_list(3_000, 4_000, seed=5)
+        labels = oracle_labels(g)
+        if corrupt:
+            rng = np.random.default_rng(9)
+            idx = rng.choice(g.n, 40, replace=False)
+            labels[idx] = rng.integers(0, g.n, 40)
+        report = spot_check_labels(
+            labels, g.n, _chunks(g), edges_hint=g.src.size // 2,
+            max_edge_samples=500, vertex_samples=300, subsample_edges=700,
+            seed=3,
+        )
+        return report.to_json()
+
+    def test_correct_labels(self):
+        doc = self._report(corrupt=False)
+        assert doc == {
+            "n": 3000, "edges_checked": 500, "vertices_checked": 300,
+            "subsample_edges": 667,
+            "checks": dict.fromkeys([
+                "representative_in_range", "representative_min",
+                "representative_idempotent", "edge_consistency",
+                "oracle_refinement",
+            ], True),
+            "violation_count": 0, "violations": [], "ok": True,
+        }
+
+    def test_corrupted_labels(self):
+        doc = self._report(corrupt=True)
+        assert doc["checks"] == {
+            "representative_in_range": True,
+            "representative_min": True,
+            "representative_idempotent": True,
+            "edge_consistency": False,
+            "oracle_refinement": False,
+        }
+        assert (doc["edges_checked"], doc["vertices_checked"],
+                doc["subsample_edges"]) == (500, 300, 667)
+        assert doc["violation_count"] == 31
+        assert doc["violations"] == self.CORRUPTED_VIOLATIONS
+        assert doc["ok"] is False

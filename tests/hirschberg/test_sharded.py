@@ -43,6 +43,61 @@ class TestSolveShardArrays:
         with pytest.raises(ValueError):
             solve_shard_arrays(4, np.array([-1]), np.array([2]))
 
+    def test_out_of_range_message(self):
+        with pytest.raises(ValueError) as high:
+            solve_shard_arrays(4, np.array([1, 2]), np.array([9, 3]))
+        assert str(high.value) == "shard endpoints outside [0, 4): min=1, max=9"
+        # an id that only appears in a self-loop is still range-checked
+        with pytest.raises(ValueError) as low:
+            solve_shard_arrays(4, np.array([0, -3]), np.array([1, -3]))
+        assert str(low.value) == "shard endpoints outside [0, 4): min=-3, max=1"
+
+
+def _unique_frontier(n, u, v):
+    """The frontier through ``np.unique`` compaction and union-find."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    verts, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    uf = UnionFind(int(verts.size))
+    for a, b in zip(inverse[:u.size].tolist(), inverse[u.size:].tolist()):
+        uf.union(a, b)
+    reps = verts[np.asarray(uf.canonical_labels())]
+    keep = reps != verts
+    return verts[keep], reps[keep]
+
+
+def _shard_cases():
+    rng = np.random.default_rng(17)
+    n = 50_000
+    u, v = rng.integers(0, n, 8_000), rng.integers(0, n, 8_000)
+    loops = rng.integers(0, n, 300)
+    yield "subcritical", n, u, v
+    yield "loops_and_duplicates", n, (
+        np.concatenate([u, v[:2_000], loops])), (
+        np.concatenate([v, u[:2_000], loops]))
+    yield "int32", n, u.astype(np.int32), v.astype(np.int32)
+    yield "top_ids", n, np.full(4, n - 1), np.array([n - 2, n - 3, 0, n - 1])
+    yield "loops_only", n, loops, loops
+    # a shard holding many pairs per touched id streams in the kernel
+    k = 4_000
+    dense_u = rng.integers(0, k, 140_000) * 7
+    dense_v = rng.integers(0, k, 140_000) * 7
+    yield "dense_streamed", 7 * k, dense_u, dense_v
+
+
+class TestShardFrontierReference:
+    @pytest.mark.parametrize(
+        "name, n, u, v", list(_shard_cases()),
+        ids=[case[0] for case in _shard_cases()],
+    )
+    def test_matches_unique_reference(self, name, n, u, v):
+        verts, reps = solve_shard_arrays(n, u, v)
+        want_verts, want_reps = _unique_frontier(n, u, v)
+        assert verts.dtype == reps.dtype == np.int64
+        assert np.array_equal(verts, want_verts)
+        assert np.array_equal(reps, want_reps)
+
 
 class TestShardedOracle:
     @pytest.mark.parametrize("n,m,shards", [
