@@ -18,8 +18,9 @@ reports:
 
 # What a commit must survive locally: the repo-specific linter over the
 # files git considers changed (warm cache makes this sub-second), plus
-# the linter's own test suite.  Wire it to git via .pre-commit-config.yaml
-# or plain `make precommit`.
+# tests/check: the linter's own suite and the runtime purity and
+# sanitizer tests that cover the GCA's owner-write contract.  Wire it
+# to git via .pre-commit-config.yaml or plain `make precommit`.
 precommit:
 	PYTHONPATH=src $(PYTHON) -m repro check src --changed-only --stats
 	PYTHONPATH=src $(PYTHON) -m pytest tests/check -q

@@ -1,17 +1,17 @@
-"""Repo-specific static analysis and runtime sanitizers.
+"""Repo-specific static analysis.
 
-The whole stack rests on invariants nothing in Python enforces by
-itself:
+The serving and shared-memory layers rest on invariants nothing in
+Python enforces by itself:
 
-* **CROW** -- every cell may read any other cell but writes only its own
-  state (the paper's execution contract; rule objects must be pure);
-* **double-buffer hygiene** -- the fused kernels ping-pong between a
-  read field and a write field, never allocating inside the generation
-  loop, never reading the spare buffer, never mutating a field
-  documented read-only;
 * **shared-memory hygiene** -- every segment created is closed and
-  unlinked on *every* path, no lock is held across a blocking pipe or
-  queue call, and no thread is spawned before the pool forks.
+  unlinked on *every* path, every memmap is unmapped, and a chunk
+  worker writes only its own slice of a partitioned slab;
+* **locks and asyncio** -- no lock is held across a blocking pipe or
+  queue call, locks are taken in one order, and no blocking call,
+  dropped task or unawaited coroutine hides under an ``async def``;
+* **wire hardening** -- a size decoded from a frame header is
+  bounds-checked before it sizes an allocation;
+* **layering** -- top-level imports respect the declared layer map.
 
 :mod:`repro.check.engine` is a small AST-walking lint framework;
 :mod:`repro.check.cfg` / :mod:`repro.check.dataflow` add per-function
@@ -19,59 +19,25 @@ control-flow graphs and a forward fixpoint for the flow-sensitive
 rules; :mod:`repro.check.callgraph` builds the cross-module summaries
 behind the project-wide rules and the incremental cache
 (:mod:`repro.check.cache`); :mod:`repro.check.rules` holds the
-repo-specific rules; :mod:`repro.check.sanitizer` provides the
-*runtime* counterparts: a write-barrier interpreter that raises on any
-cross-cell write and an shm sanitizer that stamps write epochs on
-shared slabs.
+repo-specific rules; :mod:`repro.check.sanitizer` holds the shm
+sanitizer, which stamps write epochs on shared slabs at runtime.
+
+The GCA's concurrent-read, owner-write contract is enforced at runtime
+only, by the write barrier in :mod:`repro.gca.sanitized`.
 
 Run the linter with ``python -m repro check src/`` and the sanitizers
 with ``connected_components(..., sanitize=True)`` /
 ``python -m repro serve-bench --sanitize-shm``.
 """
 
-from repro.check.engine import (
-    CheckEngine,
-    CheckReport,
-    Finding,
-    LintRule,
-    StaleBaselineError,
-    load_baseline,
-    validate_baseline,
-    write_baseline,
-)
+from repro.check.engine import CheckEngine, CheckReport, Finding, LintRule
 from repro.check.rules import all_rules, rule_ids
-
-#: Runtime sanitizer names, re-exported lazily so that importing
-#: ``repro.check`` (the linter) never drags in numpy or the GCA stack
-#: -- the check layer is *closed* over stdlib by design (ARCH601).
-_SANITIZER_EXPORTS = (
-    "SanitizerMismatch",
-    "SanitizerReport",
-    "ShmSanitizer",
-    "ShmSanitizerError",
-    "run_sanitized",
-    "shm_sanitizer",
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _SANITIZER_EXPORTS:
-        from repro.check import sanitizer
-
-        return getattr(sanitizer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CheckEngine",
     "CheckReport",
     "Finding",
     "LintRule",
-    "StaleBaselineError",
-    "load_baseline",
-    "validate_baseline",
-    "write_baseline",
     "all_rules",
     "rule_ids",
-    *_SANITIZER_EXPORTS,
 ]

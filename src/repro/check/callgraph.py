@@ -30,7 +30,14 @@ from repro.check.domain import (
     lock_acquisitions,
     lockset_transfer,
 )
-from repro.check.engine import Finding, LintRule, Module, dotted_name
+from repro.check.engine import (
+    Finding,
+    LintRule,
+    Module,
+    dotted_name,
+    param_names,
+    walk_function,
+)
 
 SUMMARY_VERSION = 1
 
@@ -170,29 +177,6 @@ def module_name_for(path: str) -> str:
 # summary construction
 # ----------------------------------------------------------------------
 
-def _walk_own(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body skipping nested defs and lambdas (each
-    nested def gets its own FunctionInfo)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _param_names(fn: ast.AST) -> List[str]:
-    args = fn.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    if args.vararg:
-        names.append(args.vararg.arg)
-    if args.kwarg:
-        names.append(args.kwarg.arg)
-    return names
-
-
 def _collect_imports(summary: ModuleSummary, tree: ast.AST) -> None:
     own_package = summary.module.split(".")[:-1]
 
@@ -295,13 +279,13 @@ def _function_info(
         col=fn.col_offset + 1,
         is_async=isinstance(fn, ast.AsyncFunctionDef),
         class_name=class_name,
-        params=_param_names(fn),
+        params=param_names(fn),
     )
     awaited = set()
     wrapped = set()
     bare = set()
     calls: List[ast.Call] = []
-    for node in _walk_own(fn):
+    for node in walk_function(fn):
         if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
             awaited.add(id(node.value))
         elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
@@ -364,7 +348,7 @@ def _function_info(
             if isinstance(arg, ast.Name) and arg.id in params:
                 info.forwards.append((token, arg.id, pos))
 
-    for node in _walk_own(fn):
+    for node in walk_function(fn):
         if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
             value = node.value
             if value is not None:
@@ -414,7 +398,7 @@ def _collect_memmap_handoffs(fn: ast.AST, info: FunctionInfo) -> None:
     route is being passed to a callee -- the SHM203 shape the local
     rule accepts on faith and the project rule verifies."""
     mapped: Dict[str, ast.Assign] = {}
-    for node in _walk_own(fn):
+    for node in walk_function(fn):
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -428,7 +412,7 @@ def _collect_memmap_handoffs(fn: ast.AST, info: FunctionInfo) -> None:
     closed: Set[str] = set()
     escaped: Set[str] = set()
     handoffs: Dict[str, List[Tuple[str, int, int, int]]] = {}
-    for node in _walk_own(fn):
+    for node in walk_function(fn):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute) and func.attr == "close":

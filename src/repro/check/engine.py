@@ -3,35 +3,27 @@
 The engine is deliberately small: a :class:`LintRule` receives one
 parsed :class:`Module` (path, source, AST) and yields
 :class:`Finding`\\ s; :class:`CheckEngine` walks the requested paths,
-runs every applicable rule, applies inline suppressions and an optional
-committed baseline, and renders the surviving findings as text, JSON or
-SARIF.
+runs every rule, applies inline suppressions, and renders the
+surviving findings as text or JSON.
 
 Suppression syntax
 ------------------
 A finding is suppressed by a trailing comment on the offending line (or
 the line directly above it)::
 
-    snap = cur.copy()  # repro-check: allow[DB101] snapshots are opt-in
+    src = SharedArray.create(graph.src)  # repro-check: allow[SHM201] owned by pool
     # repro-check: allow[SHM202] close handled by the caller
     dst = SharedArray.create(graph.dst)
 
 ``allow[*]`` suppresses every rule on that line.  A reason after the
 bracket is conventional (and what review should insist on), but not
-enforced.
-
-Baseline
---------
-A baseline file (JSON) records known findings by a line-insensitive key
-(``path::rule::message``) so CI fails only on *new* findings while the
-backlog is burned down.  ``python -m repro check --write-baseline``
-regenerates it; an empty baseline means the tree is clean.
+enforced.  It is the only way to accept a finding: CI fails on any
+finding that survives suppression.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 import time
 from abc import ABC, abstractmethod
@@ -55,12 +47,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-insensitive identity used by the baseline file (stable
-        across unrelated edits that only shift line numbers)."""
-        return f"{self.path}::{self.rule_id}::{self.message}"
 
     def render(self) -> str:
         return (
@@ -106,10 +92,6 @@ class Module:
         self.tree = ast.parse(source, filename=path)
         self._suppressions: Optional[Dict[int, Set[str]]] = None
 
-    @property
-    def basename(self) -> str:
-        return Path(self.path).name
-
     def suppressions(self) -> Dict[int, Set[str]]:
         """Mapping line -> rule ids allowed on that line (``"*"`` = all).
 
@@ -126,25 +108,16 @@ class Module:
 
 class LintRule(ABC):
     """One mechanical check.  Subclasses set the class attributes and
-    implement :meth:`check`.
-
-    ``basenames`` optionally restricts the rule to files with those
-    names (the double-buffer rules only make sense inside the kernel
-    modules); ``None`` means the rule is structural and runs everywhere.
-    """
+    implement :meth:`check`."""
 
     rule_id: str = "RULE000"
     severity: str = "error"
     description: str = ""
-    basenames: Optional[frozenset] = None
     #: True for cross-module rules (see
     #: :class:`repro.check.callgraph.ProjectRule`); the engine runs
     #: them once per invocation over the project index instead of once
     #: per module.
     project: bool = False
-
-    def applies_to(self, module: Module) -> bool:
-        return self.basenames is None or module.basename in self.basenames
 
     def configure(self, config: Optional[dict]) -> None:
         """Receive the resolved ``[tool.repro-check]`` config before a
@@ -168,16 +141,6 @@ class LintRule(ABC):
 # ----------------------------------------------------------------------
 # shared AST helpers (used by the concrete rules)
 # ----------------------------------------------------------------------
-
-def root_name(node: ast.AST) -> Optional[str]:
-    """The base ``Name`` at the bottom of an attribute/subscript chain,
-    e.g. ``self._slabs.acquire`` -> ``self``, ``D[0][1]`` -> ``D``."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
 
 def dotted_name(node: ast.AST) -> str:
     """Best-effort dotted rendering of a call target, e.g.
@@ -221,93 +184,6 @@ def walk_function(fn: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def local_names(fn: ast.AST) -> Set[str]:
-    """Names bound by plain assignments / for targets / with-as inside
-    the function (used to exempt locals from parameter-mutation rules)."""
-    out: Set[str] = set()
-
-    def collect_target(target: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            out.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                collect_target(elt)
-
-    for node in walk_function(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                collect_target(target)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            collect_target(node.target)
-        elif isinstance(node, ast.For):
-            collect_target(node.target)
-        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            collect_target(node.optional_vars)
-    return out
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-
-def load_baseline(path: str) -> Dict[str, int]:
-    """Load a baseline file; returns ``{baseline_key: count}``."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or "findings" not in payload:
-        raise ValueError(f"{path} is not a repro-check baseline file")
-    return {str(k): int(v) for k, v in payload["findings"].items()}
-
-
-def write_baseline(findings: Sequence[Finding], path: str) -> None:
-    """Write the baseline covering ``findings`` (post-suppression)."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.baseline_key] = counts.get(finding.baseline_key, 0) + 1
-    payload = {
-        "version": 1,
-        "comment": (
-            "Known repro-check findings; CI fails only on findings not "
-            "recorded here. Regenerate with: "
-            "python -m repro check src/ --write-baseline"
-        ),
-        "findings": dict(sorted(counts.items())),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-class StaleBaselineError(ValueError):
-    """The baseline names a rule id that no longer exists."""
-
-
-def validate_baseline(
-    baseline: Dict[str, int], known_rule_ids: Set[str]
-) -> None:
-    """Fail loudly when a baselined rule id has left the registry.
-
-    Silently ignoring such keys would let the count-decrement machinery
-    "rebase" debt onto a rule that can never fire again, hiding the
-    fact that the baseline is stale; the fix is to regenerate it.
-    """
-    stale = sorted(
-        {
-            key.split("::")[1]
-            for key in baseline
-            if key.count("::") >= 2
-            and key.split("::")[1] not in known_rule_ids
-        }
-    )
-    malformed = [key for key in baseline if key.count("::") < 2]
-    if malformed:
-        raise StaleBaselineError(
-            f"baseline keys not in path::rule::message form: {malformed[:3]}"
-        )
-    if stale:
-        raise StaleBaselineError(
-            f"baseline references retired rule ids {stale}; regenerate it "
-            "with: python -m repro check src/ --write-baseline"
-        )
-
-
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -317,7 +193,6 @@ class CheckReport:
     """Outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_scanned: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
@@ -347,8 +222,7 @@ class CheckReport:
         total = len(self.all_findings)
         lines.append(
             f"{total} finding{'s' if total != 1 else ''} "
-            f"({self.suppressed} suppressed, {len(self.baselined)} "
-            f"baselined) in {self.files_scanned} files"
+            f"({self.suppressed} suppressed) in {self.files_scanned} files"
         )
         return "\n".join(lines)
 
@@ -361,8 +235,7 @@ class CheckReport:
             lines.append(f"  {rule_id:<{width}}  {count}")
         lines.append(
             f"  files scanned: {self.files_scanned}, suppressed: "
-            f"{self.suppressed}, baselined: {len(self.baselined)}, "
-            f"runtime: {self.duration_s * 1e3:.1f} ms"
+            f"{self.suppressed}, runtime: {self.duration_s * 1e3:.1f} ms"
         )
         lines.append(
             f"  cache hits: {self.cache_hits}, reanalyzed: "
@@ -386,63 +259,11 @@ class CheckReport:
             "stats": {
                 "files_scanned": self.files_scanned,
                 "suppressed": self.suppressed,
-                "baselined": len(self.baselined),
                 "per_rule": self.per_rule_counts(),
                 "duration_s": self.duration_s,
                 "cache_hits": self.cache_hits,
                 "files_reanalyzed": self.files_reanalyzed,
             },
-        }
-
-    def to_sarif(self, rules: Sequence[LintRule]) -> dict:
-        """SARIF 2.1.0 payload (the format code-scanning UIs ingest)."""
-        by_id = {r.rule_id: r for r in rules}
-        return {
-            "$schema": (
-                "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json"
-            ),
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-check",
-                            "informationUri": "https://example.invalid/repro",
-                            "rules": [
-                                {
-                                    "id": rule_id,
-                                    "shortDescription": {
-                                        "text": by_id[rule_id].description
-                                    },
-                                }
-                                for rule_id in sorted(by_id)
-                            ],
-                        }
-                    },
-                    "results": [
-                        {
-                            "ruleId": f.rule_id,
-                            "level": (
-                                "error" if f.severity == "error" else "warning"
-                            ),
-                            "message": {"text": f.message},
-                            "locations": [
-                                {
-                                    "physicalLocation": {
-                                        "artifactLocation": {"uri": f.path},
-                                        "region": {
-                                            "startLine": f.line,
-                                            "startColumn": f.col,
-                                        },
-                                    }
-                                }
-                            ],
-                        }
-                        for f in self.all_findings
-                    ],
-                }
-            ],
         }
 
 
@@ -486,19 +307,11 @@ class CheckEngine:
     def project_rules(self) -> List[LintRule]:
         return [r for r in self.rules if getattr(r, "project", False)]
 
-    def _known_rule_ids(self) -> Set[str]:
-        # only the *selected* rules can ever service a baseline entry;
-        # an entry for anything else could never decrement, so treating
-        # it as known would hide a stale baseline
-        return {r.rule_id for r in self.rules} | {"PARSE"}
-
     # ------------------------------------------------------------------
     def _run_local(self, module: Module) -> Tuple[List[Finding], int]:
         kept: List[Finding] = []
         suppressed = 0
         for rule in self.local_rules:
-            if not rule.applies_to(module):
-                continue
             for finding in rule.check(module):
                 if module.is_suppressed(finding):
                     suppressed += 1
@@ -538,7 +351,6 @@ class CheckEngine:
     def check_paths(
         self,
         paths: Sequence[str],
-        baseline: Optional[Dict[str, int]] = None,
         restrict: Optional[Set[str]] = None,
     ) -> CheckReport:
         """Walk ``paths`` (files or directories) and lint every ``.py``.
@@ -567,10 +379,6 @@ class CheckEngine:
             from repro.check.rules.layering import load_check_config
 
             config = load_check_config(paths[0] if paths else None)
-        if baseline:
-            validate_baseline(baseline, self._known_rule_ids())
-        remaining = dict(baseline or {})
-
         files = self._collect(paths)
         cache = None
         if self.cache_path:
@@ -664,13 +472,7 @@ class CheckEngine:
                 f for f in report.parse_errors if f.path in restrict
             ]
         collected.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        for finding in collected:
-            key = finding.baseline_key
-            if remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
+        report.findings = collected
         if cache:
             cache.prune([p.as_posix() for p in files])
             cache.save()

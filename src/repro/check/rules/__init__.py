@@ -3,11 +3,6 @@
 ========  ========  ==========================================================
 id        severity  checks
 ========  ========  ==========================================================
-CROW001   error     a GCA rule method mutates its cell/neighbor view
-CROW002   error     a GCA rule method mutates shared state through ``self``
-CROW003   error     a Hirschberg step function mutates an input vector
-DB101     warning   allocation inside a loop of a kernel module
-DB103     error     ``apply_generation`` mutates the read-only field ``D``
 SHM201    error     a shared-memory acquisition that can never be released
 SHM202    warning   consecutive shm acquisitions without an error-path guard
 SHM203    error     an ``np.memmap`` never unmapped (local) or handed to a
@@ -16,13 +11,11 @@ SHM204    error     a chunk worker writes a partitioned slab off-slice
 LOCK301   error     a blocking pipe/queue/spawn call on a path holding a lock
                     (lockset dataflow over the CFG)
 LOCK302   error     the same lock pair acquired in both orders (cross-module)
-FORK302   warning   a thread is spawned before a worker process is forked
 ASYNC401  error     blocking call reachable from ``async def`` unbridged
 ASYNC402  error     a coroutine called but never awaited or scheduled
 ASYNC403  error     task handle dropped / unguarded call_soon_threadsafe
 ASYNC404  error     ``await`` while holding a synchronous lock
 PROTO501  error     wire-decoded size reaches an allocation unvalidated
-PROTO502  error     struct format vs size comments / pack arity drift
 ARCH601   error     a top-level import crosses the declared layer map
 ========  ========  ==========================================================
 
@@ -38,20 +31,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.check.engine import LintRule
-from repro.check.rules.crow import (
-    NeighborWriteRule,
-    SelfStateWriteRule,
-    StepInplaceRule,
-)
-from repro.check.rules.double_buffer import (
-    LoopAllocationRule,
-    ReadFieldWriteRule,
-)
 from repro.check.rules.concurrency import (
     ChunkOwnerWriteRule,
     MemmapDisciplineRule,
     MemmapHandoffRule,
-    ThreadBeforeForkRule,
     UnguardedMultiAcquireRule,
     UnreleasedSegmentRule,
 )
@@ -65,18 +48,10 @@ from repro.check.rules.async_rules import (
     DroppedHandleRule,
     UnawaitedCoroutineRule,
 )
-from repro.check.rules.wire import (
-    FrameTaintRule,
-    StructLayoutRule,
-)
+from repro.check.rules.wire import FrameTaintRule
 from repro.check.rules.layering import ArchLayerRule
 
 _ALL = (
-    NeighborWriteRule,
-    SelfStateWriteRule,
-    StepInplaceRule,
-    LoopAllocationRule,
-    ReadFieldWriteRule,
     UnreleasedSegmentRule,
     UnguardedMultiAcquireRule,
     MemmapDisciplineRule,
@@ -84,13 +59,11 @@ _ALL = (
     ChunkOwnerWriteRule,
     LockAcrossBlockingRule,
     LockOrderRule,
-    ThreadBeforeForkRule,
     BlockingInAsyncRule,
     UnawaitedCoroutineRule,
     DroppedHandleRule,
     AwaitUnderSyncLockRule,
     FrameTaintRule,
-    StructLayoutRule,
     ArchLayerRule,
 )
 

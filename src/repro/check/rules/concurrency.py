@@ -9,8 +9,6 @@ invisible to the type system and usually invisible to tests:
   SHM202);
 * **locks held across blocking calls** (pipe recv, queue get, worker
   spawn) turn a slow worker into a stalled pool (LOCK301);
-* **threads started before the pool forks** leave the forked children
-  with locks held by threads that do not exist in the child (FORK302);
 * **memory mappings without an unmap** keep every touched page in the
   resident set until garbage collection gets around to the array --
   which defeats the windowed out-of-core reads of
@@ -385,51 +383,6 @@ class ChunkOwnerWriteRule(LintRule):
                         f"{node.args[0].id!r} through arbitrary indices; "
                         "scatter into a private per-worker slab and "
                         "MIN-combine instead",
-                    )
-
-
-class ThreadBeforeForkRule(LintRule):
-    """FORK302: a thread is spawned before a worker process is forked.
-
-    A ``fork()`` copies only the calling thread; any lock another
-    thread holds at fork time is copied *locked forever* in the child.
-    Start the pool first, threads after (the executor's monitor thread
-    follows this order).
-    """
-
-    rule_id = "FORK302"
-    severity = "warning"
-    description = "fork the worker pool before starting any threads"
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for fn in ast.walk(module.tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            threads: List[int] = []
-            forks: List[ast.Call] = []
-            # walk_function yields in stack order, not source order --
-            # collect both sides first, compare line numbers after
-            for node in walk_function(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                last = name.split(".")[-1] if name else ""
-                if last == "Thread":
-                    threads.append(node.lineno)
-                elif last == "Process" or last.startswith("spawn_worker"):
-                    forks.append(node)
-            if not threads:
-                continue
-            first_thread = min(threads)
-            for node in forks:
-                if node.lineno > first_thread:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{fn.name!r} forks a worker process after "
-                        f"starting a thread (line {first_thread}); forked "
-                        "children inherit locks held by threads that no "
-                        "longer exist",
                     )
 
 

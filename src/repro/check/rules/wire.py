@@ -9,21 +9,14 @@ sources, allocation sizes / read lengths / slice bounds are sinks, and
 a comparison mentioning the value (``if m > cap: raise``, ``assert``)
 sanitises it on the paths beyond the test.
 
-PROTO502 cross-checks the declared struct layouts themselves: the
-``# NN`` byte-size comments against ``struct.calcsize``, and
-``pack``/``unpack`` arity against the format's field count -- the
-drift that silently shears every later field when someone widens one.
-
-Both rules only engage in modules that import :mod:`struct`, so the
-kernel code never pays for them.
+The rule only engages in modules that import :mod:`struct`, so the
+kernel code never pays for it.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-import struct as struct_mod
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.check.cfg import Event, build_cfg, function_defs, walk_stmt_expr
 from repro.check.dataflow import iter_event_states
@@ -238,157 +231,4 @@ class FrameTaintRule(LintRule):
                         f"wire-decoded {token!r} reaches {kind} in "
                         f"{qual!r} before any bounds check; validate "
                         "it against the payload cap first",
-                    )
-
-
-# ----------------------------------------------------------------------
-# PROTO502: struct layout consistency
-# ----------------------------------------------------------------------
-
-_SIZE_COMMENT_RE = re.compile(r"#\s*(\d+)\s*(?:bytes?)?\s*$")
-
-
-def _format_fields(fmt: str) -> int:
-    """Number of values ``pack``/``unpack`` exchange for a format."""
-    count = 0
-    repeat = ""
-    for ch in fmt:
-        if ch in "@=<>!":
-            continue
-        if ch.isdigit():
-            repeat += ch
-            continue
-        if ch == "x":
-            repeat = ""
-            continue
-        if ch in ("s", "p"):
-            count += 1  # one bytes object regardless of repeat
-        else:
-            count += int(repeat) if repeat else 1
-        repeat = ""
-    return count
-
-
-class StructLayoutRule(LintRule):
-    """PROTO502: packed layouts must match their documented shape.
-
-    Checks, for every ``NAME = struct.Struct("...")`` in the module:
-    a trailing ``# NN`` size comment on ``X = NAME.size`` lines against
-    ``struct.calcsize``; tuple-unpack arity of ``NAME.unpack(...)``
-    against the format's field count; and ``NAME.pack(...)`` argument
-    arity likewise.
-    """
-
-    rule_id = "PROTO502"
-    severity = "error"
-    description = "struct format, size comments and arity must agree"
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        if not _module_imports_struct(module):
-            return
-        layouts: Dict[str, Tuple[str, int, int]] = {}
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            value = node.value
-            if not (
-                isinstance(value, ast.Call)
-                and dotted_name(value.func).split(".")[-1] == "Struct"
-                and value.args
-                and isinstance(value.args[0], ast.Constant)
-                and isinstance(value.args[0].value, str)
-            ):
-                continue
-            fmt = value.args[0].value
-            try:
-                size = struct_mod.calcsize(fmt)
-            except struct_mod.error:
-                continue
-            layouts[target.id] = (fmt, size, _format_fields(fmt))
-            line = module.lines[node.lineno - 1]
-            match = _SIZE_COMMENT_RE.search(line)
-            if match and int(match.group(1)) != size:
-                yield self.finding(
-                    module,
-                    node,
-                    f"size comment says {match.group(1)} bytes but "
-                    f"struct.calcsize({fmt!r}) is {size}; fix the "
-                    "comment or the format",
-                )
-
-        if not layouts:
-            return
-        for node in ast.walk(module.tree):
-            yield from self._check_node(module, node, layouts)
-
-    def _check_node(
-        self,
-        module: Module,
-        node: ast.AST,
-        layouts: Dict[str, Tuple[str, int, int]],
-    ) -> Iterator[Finding]:
-        if isinstance(node, ast.Assign) and isinstance(
-            node.value, ast.Attribute
-        ):
-            value = node.value
-            if (
-                value.attr == "size"
-                and isinstance(value.value, ast.Name)
-                and value.value.id in layouts
-            ):
-                fmt, size, _ = layouts[value.value.id]
-                line = module.lines[node.lineno - 1]
-                match = _SIZE_COMMENT_RE.search(line)
-                if match and int(match.group(1)) != size:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"size comment says {match.group(1)} bytes but "
-                        f"struct.calcsize({fmt!r}) is {size}; fix the "
-                        "comment or the format",
-                    )
-        if isinstance(node, ast.Assign) and isinstance(
-            node.value, ast.Call
-        ):
-            call = node.value
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("unpack", "unpack_from")
-                and isinstance(func.value, ast.Name)
-                and func.value.id in layouts
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], (ast.Tuple, ast.List))
-            ):
-                fmt, _, nfields = layouts[func.value.id]
-                got = len(node.targets[0].elts)
-                if got != nfields:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"unpacking {func.value.id} ({fmt!r}, {nfields} "
-                        f"fields) into {got} names; every later field "
-                        "shears",
-                    )
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "pack"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in layouts
-                and not any(isinstance(a, ast.Starred) for a in node.args)
-                and not node.keywords
-            ):
-                fmt, _, nfields = layouts[func.value.id]
-                if node.args and len(node.args) != nfields:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{func.value.id}.pack() called with "
-                        f"{len(node.args)} values but {fmt!r} has "
-                        f"{nfields} fields",
                     )

@@ -1,29 +1,16 @@
-"""Runtime sanitizers: the dynamic half of :mod:`repro.check`.
+"""Runtime shm sanitizer: the dynamic counterpart of the SHM rules.
 
-The lint rules prove discipline *syntactically*; the sanitizers enforce
-it *at runtime*:
+:class:`ShmSanitizer` observes the shared-memory layer
+(:mod:`repro.analysis.shm`): it tracks every segment created, attached
+and unlinked during its window, stamps a **write epoch** into the
+spare tail of every pooled slab handed out and verifies the stamp on
+release (a concurrent writer overrunning its requested region clobbers
+the stamp), and flags double-acquisition of a live slab.  On exit it
+fails loudly on any segment the window leaked.
 
-* the **CROW write barrier** (:class:`SanitizedAutomaton`,
-  :func:`run_sanitized`, :class:`SanitizerReport`,
-  :class:`SanitizerMismatch`) locks the interpreter's state planes to
-  the executing cell and re-counts every global read.  The
-  implementation lives in :mod:`repro.gca.sanitized` -- it subclasses
-  the engine, and the check layer is closed over stdlib+numpy (rule
-  ARCH601) -- but the names re-export from here lazily, so
-  ``from repro.check.sanitizer import SanitizedAutomaton`` keeps
-  working without the linter ever importing the GCA stack.
-* :class:`ShmSanitizer` observes the shared-memory layer
-  (:mod:`repro.analysis.shm`): it tracks every segment created, attached
-  and unlinked during its window, stamps a **write epoch** into the
-  spare tail of every pooled slab handed out and verifies the stamp on
-  release (a concurrent writer overrunning its requested region clobbers
-  the stamp), and flags double-acquisition of a live slab.  On exit it
-  fails loudly on any segment the window leaked.
-
-Entry points: ``connected_components(..., sanitize=True)``,
-:func:`run_sanitized`, and the :func:`shm_sanitizer` context manager
+Entry point: the :func:`shm_sanitizer` context manager
 (``python -m repro serve-bench --sanitize-shm`` wires it around the
-pool).
+pool).  The GCA write barrier lives in :mod:`repro.gca.sanitized`.
 """
 
 from __future__ import annotations
@@ -33,30 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-#: Names whose implementation lives in :mod:`repro.gca.sanitized`;
-#: resolved on first attribute access (PEP 562) so that importing this
-#: module -- which the lint CLI does for ``ShmSanitizerError`` -- never
-#: drags in the interpreter engine.
-_BARRIER_EXPORTS = (
-    "GuardedArray",
-    "SanitizedAutomaton",
-    "SanitizerMismatch",
-    "SanitizerReport",
-    "run_sanitized",
-)
 
-
-def __getattr__(name: str) -> object:
-    if name in _BARRIER_EXPORTS:
-        from repro.gca import sanitized
-
-        return getattr(sanitized, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ----------------------------------------------------------------------
-# the shared-memory sanitizer
-# ----------------------------------------------------------------------
 class ShmSanitizerError(RuntimeError):
     """The shm sanitizer found leaked segments or write-epoch races."""
 

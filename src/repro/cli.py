@@ -37,14 +37,14 @@ Installed as ``python -m repro`` (see ``__main__.py``). Sub-commands:
     Run the acceptance harness: a quick PASS/FAIL verdict for every
     experiment E1-E20.
 ``check``
-    Run the repo-specific static analysis (CROW discipline,
-    double-buffer hygiene, shm/concurrency hygiene) over source paths;
-    text, ``--json`` or ``--sarif`` output, optional ``--baseline``.
+    Run the repo-specific static analysis (shm, lock, asyncio, wire
+    and layering rules) over source paths; text or ``--json`` output,
+    ``--stats`` for the per-rule summary.
 
 Examples::
 
     python -m repro check src/ --stats
-    python -m repro check src/ --json --baseline check_baseline.json
+    python -m repro check src/ --json
     python -m repro solve --random 16 --method interpreter --sanitize
     python -m repro serve-bench --executor pool --sanitize-shm
     python -m repro solve graph.edges --method vectorized
@@ -578,18 +578,11 @@ def _changed_python_files(paths: List[str]) -> Optional[Set[str]]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import (
-        CheckEngine,
-        StaleBaselineError,
-        all_rules,
-        load_baseline,
-        write_baseline,
-    )
+    from repro.check import CheckEngine, all_rules
 
     only = [r for r in args.rules.split(",") if r] or None
     cache_path = None if args.no_cache else args.cache
     engine = CheckEngine(all_rules(only=only), cache_path=cache_path)
-    baseline = load_baseline(args.baseline) if args.baseline else None
     restrict: Optional[Set[str]] = None
     if args.changed_only:
         restrict = _changed_python_files(args.paths)
@@ -600,24 +593,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    try:
-        report = engine.check_paths(
-            args.paths, baseline=baseline, restrict=restrict
-        )
-    except StaleBaselineError as exc:
-        print(f"repro check: stale baseline: {exc}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        write_baseline(
-            report.findings + report.baselined, args.write_baseline
-        )
-        print(f"baseline with {len(report.findings) + len(report.baselined)} "
-              f"finding(s) written to {args.write_baseline}")
-        return 0
+    report = engine.check_paths(args.paths, restrict=restrict)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.sarif:
-        print(json.dumps(report.to_sarif(engine.rules), indent=2))
     else:
         print(report.render_text())
     if args.stats:
@@ -872,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="repo-specific static analysis (CROW / double-buffer / shm "
-             "hygiene rules)",
+        help="repo-specific static analysis (shm / lock / asyncio / wire "
+             "/ layering rules)",
     )
     check.add_argument("paths", nargs="*", default=["src"],
                        help="files or directories to lint (default: src)")
@@ -882,16 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: all)")
     check.add_argument("--json", action="store_true",
                        help="print the findings as JSON")
-    check.add_argument("--sarif", action="store_true",
-                       help="print the findings as SARIF 2.1.0")
     check.add_argument("--stats", action="store_true",
                        help="append the per-rule trend summary (CI logs)")
-    check.add_argument("--baseline", default="",
-                       help="baseline file; only findings not recorded "
-                            "there fail the run")
-    check.add_argument("--write-baseline", default="", metavar="PATH",
-                       help="record the current findings as the baseline "
-                            "and exit 0")
     check.add_argument("--changed-only", action="store_true",
                        help="report findings only for files git considers "
                             "changed (all files are still summarized so "

@@ -259,7 +259,7 @@ def connected_components(
         :func:`repro.hirschberg.parallel.connected_components_parallel`.
     sanitize:
         Run under the CROW write-barrier engine
-        (:class:`repro.check.sanitizer.SanitizedAutomaton`): every
+        (:class:`repro.gca.sanitized.SanitizedAutomaton`): every
         cross-cell write raises at the offending store and the read
         accounting is independently cross-checked.  Implies the
         interpreter engine (only ``engine="auto"`` or
@@ -349,7 +349,7 @@ def connected_components(
         labels = detail.labels
     elif engine == "interpreter":
         if sanitize:
-            from repro.check.sanitizer import run_sanitized
+            from repro.gca.sanitized import run_sanitized
 
             detail = run_sanitized(_to_adjacency(graph), iterations=iterations)
         else:

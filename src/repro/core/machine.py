@@ -81,7 +81,7 @@ class InterpreterResult:
     access_log: AccessLog
     generation_stats: List[GenerationStats] = field(default_factory=list)
     #: Set on sanitized runs: the
-    #: :class:`repro.check.sanitizer.SanitizerReport` of the write-barrier
+    #: :class:`repro.gca.sanitized.SanitizerReport` of the write-barrier
     #: engine.  ``None`` for plain runs.
     sanitizer: Optional[object] = None
 
@@ -113,7 +113,7 @@ class GCAConnectedComponents:
     engine_factory:
         Callable building the underlying engine (same signature as
         :class:`~repro.gca.automaton.GlobalCellularAutomaton`); pass
-        :class:`repro.check.sanitizer.SanitizedAutomaton` to run with
+        :class:`repro.gca.sanitized.SanitizedAutomaton` to run with
         the CROW write barrier armed.
 
     Attributes

@@ -257,7 +257,7 @@ def _run_instrumented(
             np.bincount(targets, minlength=layout.size)
             if targets is not None and targets.size
             # size-0 sentinel, not a buffer
-            else np.zeros(0, dtype=np.int64)  # repro-check: allow[DB101]
+            else np.zeros(0, dtype=np.int64)
         )
         log.record(
             GenerationStats(

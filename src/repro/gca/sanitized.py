@@ -1,11 +1,8 @@
 """The CROW write barrier: a sanitizing interpreter engine.
 
-This is the *runtime* half of the CROW rules in :mod:`repro.check`
-(CROW001-003 prove the discipline syntactically; this module enforces
-it on live planes).  It lives in :mod:`repro.gca` rather than
-:mod:`repro.check` because it subclasses the interpreter engine --
-the check layer itself is closed over stdlib+numpy (rule ARCH601) and
-re-exports these names lazily via :mod:`repro.check.sanitizer`.
+This module enforces the paper's concurrent-read, owner-write (CROW)
+discipline on live planes; no static rule duplicates it.  It lives in
+:mod:`repro.gca` because it subclasses the interpreter engine.
 
 * :class:`SanitizedAutomaton` is the interpreter engine with a
   **write barrier** on its state planes.  While a cell's rule executes,
@@ -156,7 +153,7 @@ class _SanitizingRule(Rule):
     ) -> CellUpdate:
         # the wrapper is the barrier mechanism itself, not a GCA rule:
         # arming the guard and tallying reads is its entire job
-        self._guard.owner = cell.index  # repro-check: allow[CROW002]
+        self._guard.owner = cell.index
         tally = self._tally
 
         def counted_read(target: int) -> Neighbor:

@@ -1,15 +1,12 @@
 """Planted wire-protocol violations.
 
 PROTO501: a header-decoded length sizes an allocation and bounds a
-slice with no validation between decode and use.  PROTO502: a size
-comment that drifted from the format, and an unpack that shears the
-trailing field."""
+slice with no validation between decode and use (the rule engages
+only in modules that import struct)."""
 
-import struct
+import struct  # noqa: F401
 
 import numpy as np
-
-HEADER = struct.Struct("<IIQ")  # 12 bytes  (actually 16: drifted)
 
 
 def decode(header, payload):
@@ -19,8 +16,3 @@ def decode(header, payload):
 
 def read_body(sock, hdr):
     return sock.recv(hdr.payload_bytes)
-
-
-def parse(buf):
-    kind, flags = HEADER.unpack(buf)  # shears the third field
-    return kind, flags

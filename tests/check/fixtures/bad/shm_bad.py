@@ -17,10 +17,3 @@ def drain(queue_lock, conn):
     with queue_lock:
         payload = conn.recv()  # LOCK301: blocking recv under a held lock
     return payload
-
-
-def start_pool(ctx, watch):
-    monitor = threading.Thread(target=watch)  # noqa: F821
-    monitor.start()
-    worker = ctx.Process(target=watch)  # FORK302: fork after thread start
-    return monitor, worker

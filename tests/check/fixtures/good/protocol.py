@@ -2,8 +2,7 @@
 protocol fixture.
 
 Every header-decoded length passes a bounds check (or a validator
-call) before sizing anything, the size comment matches calcsize, and
-unpack arity matches the format."""
+call) before sizing anything."""
 
 import struct
 

@@ -25,9 +25,3 @@ def drain(queue_lock, conn):
         item = pop_item()  # noqa: F821 -- non-blocking under the lock
     payload = conn.recv()  # blocking call happens outside the lock
     return item, payload
-
-
-def start_pool(ctx, watch):
-    workers = [ctx.Process(target=watch) for _ in range(4)]
-    monitor = threading.Thread(target=watch)  # noqa: F821 -- after the forks
-    return workers, monitor

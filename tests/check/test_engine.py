@@ -1,4 +1,4 @@
-"""Engine mechanics: path walking, baselines, reports, renderers."""
+"""Engine mechanics: path walking, reports, renderers."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import (
-    CheckEngine,
-    all_rules,
-    load_baseline,
-    write_baseline,
-)
+from repro.check import CheckEngine, all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,40 +37,6 @@ def test_parse_error_becomes_finding(engine, tmp_path):
     assert [f.rule_id for f in report.parse_errors] == ["PARSE"]
 
 
-def test_baseline_round_trip(engine, tmp_path):
-    report = engine.check_paths([(FIXTURES / "bad").as_posix()])
-    assert report.findings
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(report.findings, baseline_path.as_posix())
-
-    baseline = load_baseline(baseline_path.as_posix())
-    rerun = engine.check_paths(
-        [(FIXTURES / "bad").as_posix()], baseline=baseline
-    )
-    assert rerun.ok
-    assert len(rerun.baselined) == len(report.findings)
-
-    # a *new* finding still fails even with the baseline applied
-    extra = tmp_path / "vectorized.py"
-    extra.write_text(
-        "def run(schedule, cur, other, ws):\n"
-        "    for s in schedule:\n"
-        "        x = cur.copy()\n"
-    )
-    with_new = engine.check_paths(
-        [(FIXTURES / "bad").as_posix(), extra.as_posix()], baseline=baseline
-    )
-    assert not with_new.ok
-    assert {f.rule_id for f in with_new.findings} == {"DB101"}
-
-
-def test_baseline_rejects_foreign_json(tmp_path):
-    path = tmp_path / "not_baseline.json"
-    path.write_text(json.dumps({"something": "else"}))
-    with pytest.raises(ValueError, match="baseline"):
-        load_baseline(path.as_posix())
-
-
 def test_report_renderers(engine):
     report = engine.check_paths([(FIXTURES / "bad").as_posix()])
     text = report.render_text()
@@ -87,14 +48,6 @@ def test_report_renderers(engine):
     assert payload["stats"]["files_scanned"] == report.files_scanned
     assert len(payload["findings"]) == len(report.all_findings)
     json.dumps(payload)  # must be serialisable
-
-    sarif = report.to_sarif(engine.rules)
-    assert sarif["version"] == "2.1.0"
-    results = sarif["runs"][0]["results"]
-    assert len(results) == len(report.all_findings)
-    driver_rules = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-    assert {f.rule_id for f in report.findings} <= driver_rules
-    json.dumps(sarif)
 
 
 def test_per_rule_counts_include_clean_rules(engine):

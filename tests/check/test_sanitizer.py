@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.shm import SharedArray, SlabPool, live_segments
-from repro.check.sanitizer import (
-    SanitizedAutomaton,
-    SanitizerMismatch,
-    ShmSanitizer,
-    ShmSanitizerError,
-    run_sanitized,
-    shm_sanitizer,
-)
+from repro.check.sanitizer import ShmSanitizer, ShmSanitizerError, shm_sanitizer
 from repro.core.api import connected_components
 from repro.gca.cell import KEEP, CellUpdate
 from repro.gca.errors import OwnerWriteViolation
 from repro.gca.rules import Rule
+from repro.gca.sanitized import SanitizedAutomaton, SanitizerMismatch, run_sanitized
 from repro.graphs.generators import random_graph
 
 

@@ -13,8 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.check import CheckEngine, all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -39,7 +37,7 @@ def test_src_is_clean_via_api():
     report = CheckEngine(all_rules()).check_paths([SRC.as_posix()])
     assert report.ok, report.render_text()
     assert report.files_scanned > 50
-    assert report.suppressed > 0  # the reasoned allow[...] comments
+    assert report.suppressed == 0  # src/ carries no allow[...] comments
 
 
 def test_cli_exit_zero_on_src():
@@ -51,7 +49,7 @@ def test_cli_exit_zero_on_src():
 def test_cli_exit_nonzero_on_bad_fixtures():
     proc = _run_check(BAD_FIXTURES.as_posix())
     assert proc.returncode == 1
-    assert "CROW001" in proc.stdout and "FORK302" in proc.stdout
+    assert "SHM201" in proc.stdout and "PROTO501" in proc.stdout
 
 
 def test_cli_json_output():
@@ -59,15 +57,7 @@ def test_cli_json_output():
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     rules = {f["rule"] for f in payload["findings"]}
-    assert {"CROW001", "DB103", "SHM201", "LOCK301"} <= rules
-
-
-def test_cli_sarif_output():
-    proc = _run_check(BAD_FIXTURES.as_posix(), "--sarif")
-    assert proc.returncode == 1
-    sarif = json.loads(proc.stdout)
-    assert sarif["version"] == "2.1.0"
-    assert sarif["runs"][0]["results"]
+    assert {"ASYNC403", "PROTO501", "SHM201", "LOCK301"} <= rules
 
 
 def test_cli_stats_flag():
@@ -77,28 +67,7 @@ def test_cli_stats_flag():
     assert "suppressed" in proc.stdout
 
 
-def test_cli_write_and_apply_baseline(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    wrote = _run_check(
-        BAD_FIXTURES.as_posix(), "--write-baseline", baseline.as_posix()
-    )
-    assert wrote.returncode == 0
-    assert json.loads(baseline.read_text())["findings"]
-
-    replay = _run_check(
-        BAD_FIXTURES.as_posix(), "--baseline", baseline.as_posix()
-    )
-    assert replay.returncode == 0, replay.stdout + replay.stderr
-
-
 def test_cli_unknown_rule_id():
     proc = _run_check("src", "--rules", "NOPE999")
     assert proc.returncode != 0
 
-
-def test_committed_baseline_is_empty():
-    """The tree is clean, so the committed CI baseline carries no debt."""
-    baseline = REPO_ROOT / "check_baseline.json"
-    if not baseline.exists():
-        pytest.skip("baseline not committed yet")
-    assert json.loads(baseline.read_text())["findings"] == {}
