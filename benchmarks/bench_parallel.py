@@ -168,7 +168,7 @@ def build_report(points: Sequence[Dict], repeats: int = 1,
     if use_pool and cores >= 2:
         from repro.serve.executor import PoolExecutor
 
-        pool = PoolExecutor(workers=cores, calibrate=False).start()
+        pool = PoolExecutor(workers=cores).start()
     try:
         results = [
             run_point(p, seed=seed, repeats=repeats, pool=pool)

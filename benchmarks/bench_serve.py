@@ -1,6 +1,6 @@
 """E23/E24/E27 (harness) -- serve throughput: micro-batching server vs
-naive loop, the E24 executor sections (pool vs inline, cache-hit vs
-cold), and the E27 wire section (binary socket gateway at 1000
+naive loop, the E24 cache section (cache-hit vs cold), and the E27
+wire section (binary socket gateway at 1000
 concurrent connections).
 
 Drives the :mod:`repro.serve` request server with the mixed open-loop
@@ -24,21 +24,13 @@ a tiny queue and tight deadlines through the server so the shed /
 deadline-miss counters in the committed report are real numbers, not
 zeros.
 
-Two E24 sections ride along with every report:
-
-* **pool vs inline** -- the same burst workload served once with
-  ``executor="inline"`` and once with ``executor="pool"`` (the
-  persistent shared-memory worker pool), interleaved round-by-round.
-  The >=2.5x acceptance bar only applies on hosts with 4+ cores; the
-  report records ``cores`` and ``target_enforced`` so a single-core
-  runner stays honest instead of asserting a speedup the hardware
-  cannot produce.
-* **cache-hit vs cold** -- a sequential stream with 50% duplicate
-  requests served with and without the content-addressed result cache.
-  Duplicates are submitted after their originals resolve (the repeat
-  traffic shape the cache exists for), and every response -- hit or
-  solve -- is checked against the union-find oracle.  The >=1.8x bar
-  holds on any host: a hit skips the solve entirely.
+The E24 **cache-hit vs cold** section rides along with every report: a
+sequential stream with 50% duplicate requests served with and without
+the content-addressed result cache.  Duplicates are submitted after
+their originals resolve (the repeat traffic shape the cache exists
+for), and every response -- hit or solve -- is checked against the
+union-find oracle.  The >=1.8x bar holds on any host: a hit skips the
+solve entirely.
 
 The E27 **wire** section measures the asyncio socket gateway
 (:mod:`repro.serve.gateway`): the open-loop Poisson workload travels the
@@ -76,7 +68,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -129,10 +120,7 @@ CHECK_FACTOR = 3.0
 #: The acceptance bar: served throughput over the naive sequential loop.
 TARGET_SPEEDUP = 3.0
 
-#: E24 bars.  The pool bar is only enforced on hosts with enough cores
-#: to physically produce it; the cache bar holds anywhere.
-POOL_TARGET_SPEEDUP = 2.5
-POOL_MIN_CORES = 4
+#: E24 bar: a cache hit skips the solve, so it holds on any host.
 CACHE_TARGET_SPEEDUP = 1.8
 
 #: E27: concurrent persistent connections of the wire rung (shared by
@@ -243,53 +231,6 @@ def run_overload(count: int = 120, seed: int = 7) -> dict:
         "shed": counters["shed"],
         "timed_out": counters["timed_out"],
         "deadline_misses": counters["deadline_misses"],
-    }
-
-
-def run_pool_section(rounds: int, count: int = 72, seed: int = 3) -> dict:
-    """E24: the same burst served inline and on the process pool.
-
-    The workload is batch-heavy (uniform 128/256-node draws, 30% dense)
-    so flushed batches clear the measured dispatch-overhead break-even
-    and actually ride the pool.  Interleaved like the main rungs; the
-    pool responses are oracle-checked each round.
-    """
-    spec = LoadSpec(count=count, sizes=(128, 256), size_skew=0.0,
-                    edge_factor=4.0, dense_fraction=0.3, seed=seed)
-    graphs = make_workload(spec)
-    inline_cfg = ServerConfig(workers=2, max_wait=0.005)
-    pool_cfg = ServerConfig(workers=2, max_wait=0.005, executor="pool")
-
-    inline_s: List[float] = []
-    pool_s: List[float] = []
-    ratios: List[float] = []
-    snapshot = None
-    for _ in range(rounds):
-        inline_sec, _, _ = _serve_burst(graphs, inline_cfg)
-        pool_sec, responses, snapshot = _serve_burst(graphs, pool_cfg)
-        for g, r in zip(graphs, responses):
-            assert r.ok, f"pool request failed: {r.status}"
-            assert np.array_equal(r.labels, _oracle(g)), "pool mislabeled"
-        inline_s.append(inline_sec)
-        pool_s.append(pool_sec)
-        ratios.append(inline_sec / pool_sec)
-
-    cores = os.cpu_count() or 1
-    gauges = snapshot["gauges"]
-    return {
-        "count": count,
-        "seed": seed,
-        "rounds": rounds,
-        "cores": cores,
-        "inline_seconds": statistics.median(inline_s),
-        "pool_seconds": statistics.median(pool_s),
-        "speedup": statistics.median(ratios),
-        "pool_restarts": gauges["pool_restarts"],
-        "dispatch_overhead_s": gauges["pool_dispatch_overhead_s"],
-        "target_speedup": POOL_TARGET_SPEEDUP,
-        # a 1-core runner cannot speed anything up by adding processes;
-        # record the measurement, only enforce the bar with real cores
-        "target_enforced": cores >= POOL_MIN_CORES,
     }
 
 
@@ -507,7 +448,6 @@ def build_report(points: Sequence[Tuple[int, int]], rounds: int,
     """The full machine-readable benchmark document."""
     results = [run_point(count, seed, rounds) for count, seed in points]
     largest = max(results, key=lambda r: r["count"])
-    pool = run_pool_section(rounds)
     cache = run_cache_section(rounds)
     wire = run_wire_section(rounds, connections=wire_connections,
                             count=wire_count,
@@ -522,12 +462,10 @@ def build_report(points: Sequence[Tuple[int, int]], rounds: int,
         },
         "results": results,
         "overload": run_overload(),
-        "pool": pool,
         "cache": cache,
         "wire": wire,
         "speedups": {
             "serve_vs_naive_at_largest": largest["speedup"],
-            "pool_vs_inline": pool["speedup"],
             "cache_hit_vs_cold": cache["speedup"],
         },
     }
@@ -535,8 +473,8 @@ def build_report(points: Sequence[Tuple[int, int]], rounds: int,
 
 def validate_report(doc: dict) -> None:
     """Raise ``ValueError`` unless ``doc`` is a well-formed report."""
-    for key in ("benchmark", "config", "results", "overload", "pool",
-                "cache", "wire", "speedups"):
+    for key in ("benchmark", "config", "results", "overload", "cache",
+                "wire", "speedups"):
         if key not in doc:
             raise ValueError(f"report missing key {key!r}")
     if doc["benchmark"] != "serve":
@@ -559,13 +497,6 @@ def validate_report(doc: dict) -> None:
             raise ValueError(f"bad overload.{field}={value!r}")
     if overload["shed"] + overload["timed_out"] == 0:
         raise ValueError("overload section exercised no backpressure path")
-    pool = doc["pool"]
-    for field in ("inline_seconds", "pool_seconds", "speedup"):
-        value = pool.get(field)
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(f"bad pool.{field}={value!r}")
-    if not isinstance(pool.get("cores"), int) or pool["cores"] < 1:
-        raise ValueError(f"bad pool.cores={pool.get('cores')!r}")
     cache = doc["cache"]
     for field in ("cold_seconds", "cached_seconds", "speedup"):
         value = cache.get(field)
@@ -652,15 +583,6 @@ def render(doc: dict) -> str:
         f"{o['ok']} ok, {o['shed']} shed, {o['timed_out']} timed out, "
         f"{o['deadline_misses']} deadline misses"
     )
-    p = doc["pool"]
-    enforced = "enforced" if p["target_enforced"] else (
-        f"recorded only, needs {POOL_MIN_CORES}+ cores")
-    lines.append(
-        f"pool vs inline ({p['count']} requests, {p['cores']} cores): "
-        f"{p['inline_seconds'] * 1e3:.1f} ms -> "
-        f"{p['pool_seconds'] * 1e3:.1f} ms, {p['speedup']:.2f}x "
-        f"(bar {p['target_speedup']:.1f}x {enforced})"
-    )
     c = doc["cache"]
     lines.append(
         f"cache at {c['duplicate_fraction']:.0%} duplicates "
@@ -717,12 +639,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if speedup < TARGET_SPEEDUP:
             print(f"error: served speedup {speedup:.2f}x is below the "
                   f"{TARGET_SPEEDUP:.0f}x acceptance bar", file=sys.stderr)
-            return 1
-        pool = doc["pool"]
-        if pool["target_enforced"] and pool["speedup"] < POOL_TARGET_SPEEDUP:
-            print(f"error: pool speedup {pool['speedup']:.2f}x is below "
-                  f"the {POOL_TARGET_SPEEDUP:.1f}x bar on "
-                  f"{pool['cores']} cores", file=sys.stderr)
             return 1
         cache = doc["cache"]
         if cache["speedup"] < CACHE_TARGET_SPEEDUP:

@@ -27,7 +27,7 @@ only, by the write barrier in :mod:`repro.gca.sanitized`.
 
 Run the linter with ``python -m repro check src/`` and the sanitizers
 with ``connected_components(..., sanitize=True)`` /
-``python -m repro serve-bench --sanitize-shm``.
+``with shm_sanitizer(): ...`` around a pooled sharded solve.
 """
 
 from repro.check.engine import CheckEngine, CheckReport, Finding, LintRule

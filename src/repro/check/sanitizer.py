@@ -8,9 +8,11 @@ release (a concurrent writer overrunning its requested region clobbers
 the stamp), and flags double-acquisition of a live slab.  On exit it
 fails loudly on any segment the window leaked.
 
-Entry point: the :func:`shm_sanitizer` context manager
-(``python -m repro serve-bench --sanitize-shm`` wires it around the
-pool).  The GCA write barrier lives in :mod:`repro.gca.sanitized`.
+Entry point: the :func:`shm_sanitizer` context manager, wrapped around
+any code that drives the shared-memory pool -- for example a
+``connected_components_sharded`` solve on a
+:class:`~repro.serve.executor.PoolExecutor` (CI runs exactly that).
+The GCA write barrier lives in :mod:`repro.gca.sanitized`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class ShmSanitizer:
     Tracks create/attach/close/unlink per segment, stamps a
     monotonically increasing epoch into the spare tail of every pooled
     slab on acquire and re-checks it on release.  Thread-safe (the
-    serve pool acquires from several threads).
+    sharded engine acquires pool slabs from several threads).
     """
 
     def __init__(self) -> None:

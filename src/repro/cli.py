@@ -46,7 +46,6 @@ Examples::
     python -m repro check src/ --stats
     python -m repro check src/ --json
     python -m repro solve --random 16 --method interpreter --sanitize
-    python -m repro serve-bench --executor pool --sanitize-shm
     python -m repro solve graph.edges --method vectorized
     python -m repro solve --random 64 --p 0.1 --seed 7
     python -m repro solve --random-sparse 100000 300000 --method auto
@@ -64,7 +63,6 @@ Examples::
     python -m repro serve --listen 0.0.0.0:7421 --cache-bytes 64M
     python -m repro serve-bench --count 200 --baseline
     python -m repro serve-bench --rps 2000 --deadline 0.05 --json serve.json
-    python -m repro serve-bench --executor pool --process-workers 2
     python -m repro serve-bench --cache-bytes 1048576 --duplicate-fraction 0.5
     python -m repro serve-bench --listen --connections 1000 --rps 4000
     python -m repro reproduce [--only E1,E6]
@@ -345,8 +343,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait=args.max_wait,
         max_queue=args.max_queue,
         admission=args.admission,
-        executor=args.executor,
-        process_workers=args.process_workers,
         cache_bytes=(_parse_bytes(args.cache_bytes)
                      if args.cache_bytes else 0),
         cache_verify=args.cache_verify,
@@ -405,72 +401,47 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     config = ServerConfig(
         workers=args.workers,
         max_wait=args.max_wait,
-        executor=args.executor,
-        process_workers=args.process_workers,
         cache_bytes=args.cache_bytes,
         cache_verify=args.cache_verify,
     )
     deadline = args.deadline if args.deadline > 0 else None
 
     naive = naive_seconds(graphs) if args.baseline else None
-    shm_report = None
-    if args.sanitize_shm:
-        from contextlib import ExitStack
-
-        from repro.check.sanitizer import shm_sanitizer
-
-        stack = ExitStack()
-        shm_report = stack.enter_context(shm_sanitizer(strict=False))
-    else:
-        stack = None
     wire_results = None
-    try:
-        with Server(config) as server:
-            if args.listen:
-                from repro.serve.gateway import GatewayHandle
+    with Server(config) as server:
+        if args.listen:
+            from repro.serve.gateway import GatewayHandle
 
-                with GatewayHandle(server) as gateway:
-                    start = time.perf_counter()
-                    if args.rps > 0:
-                        wire_results = run_socket_open_loop(
-                            gateway.address, graphs, offered_rps=args.rps,
-                            connections=args.connections, deadline=deadline,
-                            seed=spec.seed,
-                            settle_timeout=args.wait_timeout,
-                        )
-                    else:
-                        wire_results = run_socket_closed_loop(
-                            gateway.address, graphs,
-                            connections=args.connections, deadline=deadline,
-                        )
-                    served = time.perf_counter() - start
-                    snapshot = server.metrics_snapshot()
-            else:
+            with GatewayHandle(server) as gateway:
                 start = time.perf_counter()
                 if args.rps > 0:
-                    handles = run_open_loop(server, graphs,
-                                            offered_rps=args.rps,
-                                            deadline=deadline, seed=spec.seed)
+                    wire_results = run_socket_open_loop(
+                        gateway.address, graphs, offered_rps=args.rps,
+                        connections=args.connections, deadline=deadline,
+                        seed=spec.seed,
+                        settle_timeout=args.wait_timeout,
+                    )
                 else:
-                    handles = run_closed_loop(server, graphs,
-                                              concurrency=args.concurrency,
-                                              deadline=deadline)
-                responses = [h.response(timeout=args.wait_timeout)
-                             for h in handles]
+                    wire_results = run_socket_closed_loop(
+                        gateway.address, graphs,
+                        connections=args.connections, deadline=deadline,
+                    )
                 served = time.perf_counter() - start
                 snapshot = server.metrics_snapshot()
-    finally:
-        if stack is not None:
-            stack.close()
-    if shm_report is not None:
-        print(shm_report.summary())
-        from repro.check.sanitizer import ShmSanitizerError
-
-        try:
-            shm_report.verify()
-        except ShmSanitizerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        else:
+            start = time.perf_counter()
+            if args.rps > 0:
+                handles = run_open_loop(server, graphs,
+                                        offered_rps=args.rps,
+                                        deadline=deadline, seed=spec.seed)
+            else:
+                handles = run_closed_loop(server, graphs,
+                                          concurrency=args.concurrency,
+                                          deadline=deadline)
+            responses = [h.response(timeout=args.wait_timeout)
+                         for h in handles]
+            served = time.perf_counter() - start
+            snapshot = server.metrics_snapshot()
 
     wire_client = None
     mismatches = 0
@@ -521,10 +492,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if latency["count"]:
         print(f"latency ms: p50 {latency['p50_ms']}, "
               f"p95 {latency['p95_ms']}, p99 {latency['p99_ms']}")
-    if args.executor == "pool":
-        gauges = snapshot["gauges"]
-        print(f"pool: restarts {gauges['pool_restarts']}, dispatch "
-              f"overhead {gauges['pool_dispatch_overhead_s'] * 1e3:.2f} ms")
     if "cache" in snapshot:
         cache = snapshot["cache"]
         print(f"cache: {cache['hits']} hits, {cache['misses']} misses, "
@@ -737,13 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(port 0 picks an ephemeral port)")
     listen.add_argument("--workers", type=int, default=1,
                         help="server worker threads (default 1)")
-    listen.add_argument("--executor", choices=["inline", "pool"],
-                        default="inline",
-                        help="'pool' executes flushed batches on a "
-                             "persistent multi-process worker pool")
-    listen.add_argument("--process-workers", type=int, default=0,
-                        help="pool processes (0 = one per core with "
-                             "--executor pool)")
     listen.add_argument("--max-wait", type=float,
                         default=ServerConfig.max_wait,
                         help="opt-in minimum hold seconds; default "
@@ -795,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--workers", type=int, default=1,
                        help="worker threads (default 1)")
-    serve.add_argument("--executor", choices=["inline", "pool"],
-                       default="inline",
-                       help="'pool' executes flushed batches on a "
-                            "persistent multi-process worker pool")
-    serve.add_argument("--process-workers", type=int, default=0,
-                       help="pool processes (0 = one per core with "
-                            "--executor pool)")
     serve.add_argument("--cache-bytes", type=int, default=0,
                        help="content-addressed result cache budget in "
                             "bytes (0 = cache off)")
@@ -833,10 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--allow-failures", action="store_true",
                        help="exit 0 even when some requests did not "
                             "resolve ok (overload experiments)")
-    serve.add_argument("--sanitize-shm", action="store_true",
-                       help="observe the shared-memory layer for the whole "
-                            "bench: leaked segments, double-acquired slabs "
-                            "and write-epoch races fail the run")
     serve.add_argument("--json", default="",
                        help="write the metrics snapshot to a file")
     serve.set_defaults(func=_cmd_serve_bench)

@@ -189,7 +189,7 @@ def _kernel_pool(workers: int):
 
         if _KERNEL_POOL is not None:
             _KERNEL_POOL[1].shutdown()
-        pool = PoolExecutor(workers=workers, calibrate=False).start()
+        pool = PoolExecutor(workers=workers).start()
         _KERNEL_POOL = (workers, pool)
         return pool
 

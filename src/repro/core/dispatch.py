@@ -64,13 +64,6 @@ class CostModel:
     #: graph conversion, result assembly); a coalesced serve flush pays
     #: it once for all its members.
     request_overhead: float = 2.5e-5
-    #: one round trip through the serve layer's persistent process pool
-    #: (slab write, queue hop, worker attach, result hop).  The serve
-    #: planner ships a flush to the pool only when its estimated seconds
-    #: dominate this term, so small flushes stay inline.  A running
-    #: :class:`~repro.serve.executor.PoolExecutor` replaces the default
-    #: with the round trip it measured at start.
-    pool_dispatch_overhead: float = 2.0e-3
     #: interpreter footprint per cell (a Python object per cell).
     interpreter_bytes_per_cell: float = 800.0
     #: in-RAM contracting engine: resident bytes per directed edge (edge

@@ -351,7 +351,7 @@ def connected_components_sharded(
         if use_pool and active_pool is None:
             from repro.serve.executor import PoolExecutor
 
-            own_pool = PoolExecutor(workers=window, calibrate=False).start()
+            own_pool = PoolExecutor(workers=window).start()
             active_pool = own_pool
         frontier = PairFile(workdir / "frontier.pairs")
         shard_stats: List[Dict[str, int]] = []

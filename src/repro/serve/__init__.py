@@ -4,7 +4,7 @@ The step from "fast library" to "service": a stream of independent
 connected-components requests is admitted through a bounded queue,
 packed into size buckets, and executed as one coalesced contracting
 solve per batch (or a solo run of the engine the dispatcher's rule
-table picks) on a worker pool -- with per-request
+table picks) on the server's worker threads -- with per-request
 deadlines, cancellation, retries, backpressure, graceful drain and a
 full serve-side metrics layer.
 
@@ -31,12 +31,12 @@ Modules
     worker, a full bucket, deadline pressure, or an opt-in
     ``max_wait``), engine choice.
 ``repro.serve.workers``
-    Execution backends: coalesced unions, solo engines, the
-    shared-memory process pool for large sparse requests.
+    The solve paths the worker threads run: coalesced unions and solo
+    engines.
 ``repro.serve.executor``
-    The persistent pre-forked :class:`PoolExecutor`: whole flushed
-    batches on all cores through shared-memory slabs, with heartbeats,
-    crash replacement and measured dispatch overhead.
+    The persistent pre-forked :class:`PoolExecutor` behind the sharded
+    and parallel engines: tasks on all cores through shared-memory
+    slabs, with heartbeats and crash replacement.
 ``repro.serve.cache``
     The content-addressed :class:`ResultCache` keyed by
     :func:`graph_fingerprint`.
@@ -87,7 +87,7 @@ from repro.serve.request import (
 )
 from repro.serve.scheduler import BatchPlanner
 from repro.serve.server import Server, ServerConfig, serve_many
-from repro.serve.workers import SparseProcessPool, WorkerDied
+from repro.serve.workers import WorkerDied
 
 __all__ = [
     "BatchPlanner",
@@ -106,7 +106,6 @@ __all__ = [
     "Server",
     "ServerClosed",
     "ServerConfig",
-    "SparseProcessPool",
     "WorkerDied",
     "graph_fingerprint",
     "run_gateway",

@@ -1,21 +1,23 @@
-"""Persistent shared-memory worker pool for the serve layer.
+"""The shared-memory process pool behind the sharded and parallel engines.
 
-The serve scheduler (PR 3) packs requests into batches well, but every
-flush still executes on one GIL-bound core.  This module is the missing
-half of the paper's "many cheap processing elements" story at the
-process level: a **pre-forked, persistent** pool of worker processes
-that import the engines once, stay warm forever, and execute whole
-flushed batches -- coalesced contracting unions -- on all cores.
+:class:`PoolExecutor` is a **pre-forked, persistent** pool of worker
+processes that import the engines once and stay warm.  Two engines
+drive it: ``sharded`` ships one shard solve per task
+(:meth:`PoolExecutor.solve_shard`), and ``parallel`` runs chunked label
+rounds over segments it owns (:meth:`PoolExecutor.run_chunk_tasks`,
+:meth:`PoolExecutor.label_hook_round`,
+:meth:`PoolExecutor.label_jump_round`, :meth:`PoolExecutor.detach`).
+The request server does not use it: its engines release the GIL, so
+its worker threads share one address space and copy nothing.
 
 Design points, in the order they matter:
 
-* **Zero-copy handoff.**  Batch payloads travel through
+* **Zero-copy handoff.**  Task payloads travel through
   :class:`~repro.analysis.shm.SlabPool` slabs: the parent writes the
-  union's edge arrays straight into a recycled shared-memory block, the
-  worker attaches by name (caching the mapping, so a steady server
-  re-maps nothing) and writes the label vectors into a shared output
-  slot.  Only a tiny picklable
-  :class:`_Task` descriptor crosses the queue.
+  arrays straight into a recycled shared-memory block, the worker
+  attaches by name (caching the mapping, so a steady pool re-maps
+  nothing) and writes its result into a shared output slot.  Only a
+  tiny picklable :class:`_Task` descriptor crosses the pipe.
 * **Per-worker pipes, not a shared queue.**  Every worker owns a private
   task pipe and a private result pipe (single writer, single reader, no
   locks).  A shared ``multiprocessing.Queue`` would be simpler -- and
@@ -23,24 +25,15 @@ Design points, in the order they matter:
   queue's reader lock*, after which no replacement can ever dequeue
   again.  With private pipes a crash orphans only that worker's own
   channel, and the parent knows exactly which tasks went to it.
-* **Bounded in-flight window.**  A semaphore caps batches submitted but
-  not yet resolved, so a stalled pool backpressures the server's worker
-  threads instead of growing an unbounded pickle queue.
+* **Bounded in-flight window.**  A semaphore caps slab tasks submitted
+  but not yet resolved, so a stalled pool backpressures its callers
+  instead of growing an unbounded pickle queue.
 * **Heartbeats & crash replacement.**  Each worker bumps a per-worker
   heartbeat slot; a monitor thread watches process liveness.  A dead
   worker (OOM-killed, segfaulted) is replaced immediately, every task
   dispatched to it fails over to a **single retry on a fresh worker**
-  (:meth:`PoolExecutor.solve_coalesced` rebuilds the slabs and resubmits
-  once), and only then surfaces :class:`~repro.serve.workers.WorkerDied`
-  to the server -- which falls back to inline solo execution, so one
-  lost worker never fails unrelated in-flight requests.
-* **Measured dispatch overhead.**  Startup warm-calibrates the pool: a
-  few tiny coalesced solves -- the task the serve planner ships --
-  measure the real cost of one pool dispatch on this host
-  (:attr:`PoolExecutor.measured_overhead`), which the server feeds into
-  the cost-model term
-  :attr:`~repro.core.dispatch.CostModel.pool_dispatch_overhead` so small
-  batches stay inline.
+  (the task's slabs are rebuilt and it is resubmitted once), and only
+  then surfaces :class:`~repro.serve.workers.WorkerDied`.
 * **No leaks.**  Shutdown (explicit, context-manager, or the ``atexit``
   safety net) joins the workers, drains the queues and unlinks every
   shared segment; :func:`repro.analysis.shm.live_segments` is empty
@@ -53,7 +46,7 @@ Design points, in the order they matter:
 Slabs touched by a failed or suspect task are *discarded* (unlinked)
 rather than recycled: a straggler worker that still holds the old
 mapping then scribbles on orphaned pages instead of on a block that a
-later batch reuses.
+later task reuses.
 """
 
 from __future__ import annotations
@@ -71,34 +64,23 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from repro.analysis.shm import SharedArray, SharedArrayRef, Slab, SlabPool
-from repro.hirschberg.edgelist import EdgeListGraph
-from repro.serve.request import GraphLike
-from repro.serve.workers import (
-    WorkerDied,
-    as_edge_list,
-    split_union_labels,
-    union_edges,
-)
+from repro.serve.workers import WorkerDied
 
 #: Seconds an idle worker polls its task pipe between heartbeats.
 HEARTBEAT_INTERVAL = 0.05
 
-#: Warm-calibration round trips (tiny coalesced solves through the full
-#: slab + queue + attach path); the minimum is the measured overhead.
-_CALIBRATION_TRIPS = 3
-
 
 @dataclass(frozen=True)
 class _Task:
-    """Picklable batch descriptor; the arrays stay in shared memory."""
+    """Picklable task descriptor; the arrays stay in shared memory."""
 
     seq: int
-    kind: str   # "sparse" | "shard" | "lt_hook" | "lt_jump" | "ping" | "detach"
+    kind: str   # "shard" | "lt_hook" | "lt_jump" | "ping" | "detach"
     out: Optional[SharedArrayRef] = None
-    src: Optional[SharedArrayRef] = None     # sparse/shard: edge arrays
+    src: Optional[SharedArrayRef] = None     # shard/lt_hook: edge arrays
     dst: Optional[SharedArrayRef] = None
-    n: int = 0                    # sparse/shard: global node count
-    engine: str = "contracting"   # sparse engine, or lt_hook variant
+    n: int = 0                    # shard: global node count
+    engine: str = "fastsv"        # lt_hook variant
     sleep: float = 0.0            # ping: hold the worker busy (tests)
     labels: Optional[SharedArrayRef] = None  # lt_*: round-start labels
     lo: int = 0                   # lt_*: chunk bounds (edges / vertices)
@@ -161,8 +143,6 @@ def _drop_views(cache: Dict[str, "mp.shared_memory.SharedMemory"],
 
 def _run_task(task: _Task, cache: Dict) -> int:
     """Execute one task against shared memory; returns a tiny token."""
-    from repro.hirschberg.contracting import connected_components_contracting
-
     if task.kind == "detach":
         return 0  # the worker loop unmaps ``task.drop``
     if task.kind == "ping":
@@ -197,21 +177,12 @@ def _run_task(task: _Task, cache: Dict) -> int:
 
         return jump_chunk(_attach_view(cache, task.labels), out,
                           task.lo, task.hi)
-    if task.engine != "contracting":
-        raise ValueError(f"unknown sparse engine {task.engine!r}")
-    graph = EdgeListGraph(
-        n=task.n,
-        src=_attach_view(cache, task.src),
-        dst=_attach_view(cache, task.dst),
-    )
-    labels = connected_components_contracting(graph).labels
-    out[...] = labels
-    return int(labels.size)
+    raise ValueError(f"unknown task kind {task.kind!r}")
 
 
 def _worker_main(worker_id: int, task_r, result_w,
                  hb_ref: SharedArrayRef) -> None:
-    """Worker process body: warm the engines, then serve tasks forever.
+    """Worker process body: warm the shard solve, then serve tasks forever.
 
     ``task_r`` / ``result_w`` are this worker's *private* pipe ends --
     nothing is shared with sibling workers, so a sibling's crash can
@@ -219,7 +190,6 @@ def _worker_main(worker_id: int, task_r, result_w,
     ``("ready", id, pid)`` once warm, ``("done", seq, pid, token,
     error_or_None)`` per task.  Labels never cross the pipe.
     """
-    from repro.core.batched import BatchedGCA
     from repro.hirschberg.contracting import connected_components_contracting
     from repro.hirschberg.edgelist import random_edge_list
 
@@ -227,10 +197,8 @@ def _worker_main(worker_id: int, task_r, result_w,
     cache: Dict = {}
     pid = os.getpid()
     try:
-        # Warm NumPy's first-call paths so the first real batch does not
-        # pay them (the imports themselves came free with the fork).
-        tiny = np.zeros((1, 2, 2), dtype=np.int8)
-        BatchedGCA(list(tiny)).run()
+        # Warm NumPy's first-call paths so the first shard solve does
+        # not pay them (the imports themselves came free with the fork).
         connected_components_contracting(random_edge_list(4, 4, seed=0))
         result_w.send(("ready", worker_id, pid))
         while True:
@@ -299,14 +267,14 @@ class _WorkerHandle:
 
 
 class PoolExecutor:
-    """The persistent multi-core batch executor (see module docstring).
+    """The persistent multi-core task executor (see module docstring).
 
     Parameters
     ----------
     workers:
         Worker process count (pre-forked at :meth:`start`).
     max_inflight:
-        Bound on batches submitted but unresolved (default
+        Bound on slab tasks submitted but unresolved (default
         ``2 * workers``).
     slab_budget:
         Byte budget of the recycled slab pool.
@@ -314,9 +282,6 @@ class PoolExecutor:
         ``multiprocessing`` start method; default prefers ``"fork"``
         (pre-fork semantics: workers inherit the warm imports) and falls
         back to the platform default.
-    calibrate:
-        Measure :attr:`measured_overhead` with tiny round trips at
-        startup (default on; tests disable it for speed).
     """
 
     def __init__(
@@ -325,14 +290,11 @@ class PoolExecutor:
         max_inflight: Optional[int] = None,
         slab_budget: int = 256 << 20,
         start_method: Optional[str] = None,
-        calibrate: bool = True,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.restarts = 0
-        self.measured_overhead = 0.0
-        self._calibrate = calibrate
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else None
@@ -371,8 +333,6 @@ class PoolExecutor:
         )
         self._monitor.start()
         atexit.register(self.shutdown)
-        if self._calibrate:
-            self._warm_calibrate()
         return self
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
@@ -403,22 +363,6 @@ class PoolExecutor:
                     f"pool workers not ready within {timeout}s"
                 )
             time.sleep(0.005)
-
-    def _warm_calibrate(self) -> None:
-        """Measure one pool dispatch end to end (slab, queue, attach,
-        tiny coalesced solve, result) -- the term that keeps small
-        batches inline."""
-        edge = np.zeros(1, dtype=np.int64)
-        tiny = [EdgeListGraph(n=2, src=edge, dst=edge + 1)] * 2
-        best = float("inf")
-        for _ in range(_CALIBRATION_TRIPS):
-            t0 = time.perf_counter()
-            try:
-                self.solve_coalesced(tiny)
-            except Exception:  # noqa: BLE001 -- calibration is best-effort
-                return
-            best = min(best, time.perf_counter() - t0)
-        self.measured_overhead = best
 
     def __enter__(self) -> "PoolExecutor":
         return self.start()
@@ -586,14 +530,31 @@ class PoolExecutor:
                 self._discard(slabs)
                 if kind == "error":
                     # the engine raised inside a healthy worker: a retry
-                    # would fail identically; let the server fall back
+                    # would fail identically
                     raise RuntimeError(f"pool worker error: {payload}")
                 last_error = str(payload)
-                # worker died: the monitor already replaced it; one
+                # worker died: once the monitor has replaced it, one
                 # rebuild-and-resubmit lands on a fresh worker
+                self._await_replacement(pending.assigned_pid)
             raise WorkerDied(
-                f"pool worker died twice running one batch: {last_error}"
+                f"pool worker died twice running one task: {last_error}"
             )
+
+    def _await_replacement(self, pid: int, timeout: float = 10.0) -> None:
+        """Wait until worker ``pid`` has left the pool (or it stopped).
+
+        A send to a dead worker's pipe fails at once, before the
+        monitor's next liveness pass has replaced it; a retry submitted
+        right away could pick the same dead worker and fail again.
+        """
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self._lock:
+                if self._state != "running" or all(
+                    h is None or h.proc.pid != pid for h in self._handles
+                ):
+                    return
+            time.sleep(HEARTBEAT_INTERVAL / 5)
 
     # -- the high-level solve paths ------------------------------------
     def ping(self, sleep: float = 0.0) -> None:
@@ -603,41 +564,6 @@ class PoolExecutor:
             lambda seq: (_Task(seq=seq, kind="ping", sleep=sleep), []),
             lambda slabs, token: None,
         )
-
-    def solve_coalesced(
-        self, graphs: Sequence[GraphLike], engine: str = "contracting"
-    ) -> List[np.ndarray]:
-        """Pool counterpart of :func:`repro.serve.workers.solve_coalesced`:
-        one sparse solve over the members' disjoint union, edge arrays
-        and labels in shared slabs."""
-        lists = [as_edge_list(g) for g in graphs]
-        counts = np.asarray([e.n for e in lists], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        total = int(offsets[-1])
-        if total == 0:
-            return [np.empty(0, dtype=np.int64) for _ in lists]
-        edge_total = int(sum(e.src.size for e in lists))
-
-        def build(seq: int):
-            src, dst, out = self._acquire_slabs(
-                [((edge_total,), np.int64), ((edge_total,), np.int64),
-                 ((total,), np.int64)]
-            )
-            union_edges(lists, offsets, src_out=src.array, dst_out=dst.array)
-            task = _Task(
-                seq=seq, kind="sparse", out=out.ref, src=src.ref,
-                dst=dst.ref, n=total, engine=engine,
-            )
-            return task, [src, dst, out]
-
-        def collect(slabs: List[Slab], token) -> List[np.ndarray]:
-            return split_union_labels(slabs[2].array, offsets, copy=True)
-
-        return self._run(build, collect)
-
-    def solve_solo(self, graph: GraphLike, engine: str) -> np.ndarray:
-        """One large request on one worker (shared-memory handoff)."""
-        return self.solve_coalesced([graph], engine)[0]
 
     def solve_shard(
         self, n: int, u: np.ndarray, v: np.ndarray
@@ -716,7 +642,7 @@ class PoolExecutor:
         acquired, released or discarded here, and the in-flight
         semaphore is not taken: the chunk count is bounded by the
         partition width (~ worker count) and a label round must never
-        deadlock behind the server's own batch traffic holding permits.
+        deadlock behind shard solves holding permits.
 
         A task whose worker dies is resubmitted once on a fresh worker --
         safe because the label kernels are idempotent per chunk (hook
@@ -734,6 +660,7 @@ class PoolExecutor:
         for i, pending in enumerate(pendings):
             kind, payload = self._finish(pending)
             if kind == "died":
+                self._await_replacement(pending.assigned_pid)
                 retry, _ = self._submit(builds[i])
                 kind, payload = self._finish(retry)
                 if kind == "died":
@@ -897,6 +824,6 @@ class PoolExecutor:
                     continue
                 for pending in lost:
                     pending.resolve(
-                        "died", f"worker {dead_pid} died mid-batch"
+                        "died", f"worker {dead_pid} died mid-task"
                     )
                 handle.close()

@@ -20,7 +20,7 @@ straight from the frame's endpoint views and calls
 ``Server.submit_request`` -- which probes the content-addressed
 :class:`~repro.serve.cache.ResultCache` *before* admission, so a
 duplicate graph arriving over the socket resolves without touching the
-planner, the batch executor or the process pool.
+planner or a worker thread.
 
 The event loop never blocks:
 

@@ -83,7 +83,6 @@ class ServeMetrics:
         self.errors = 0
         self.deadline_misses = 0
         self.retries = 0
-        self.worker_restarts = 0
         self.batches = 0
         self._occupancy_sum = 0
         self._occupancy_max = 0
@@ -165,10 +164,6 @@ class ServeMetrics:
         with self._lock:
             self.retries += 1
 
-    def record_worker_restart(self) -> None:
-        with self._lock:
-            self.worker_restarts += 1
-
     # -- wire (socket gateway) -----------------------------------------
     def record_connection_open(self) -> None:
         with self._lock:
@@ -223,7 +218,6 @@ class ServeMetrics:
                     "errors": self.errors,
                     "deadline_misses": self.deadline_misses,
                     "retries": self.retries,
-                    "worker_restarts": self.worker_restarts,
                     "batches": self.batches,
                 },
                 "throughput_rps": round(self.completed / elapsed, 3),

@@ -119,10 +119,9 @@ class CCResponse:
     labels:
         Canonical label vector (``status == OK`` only, else ``None``).
     engine:
-        Engine that produced the labels (``"batched"``, ``"contracting"``,
-        ...; prefixed ``"pool:"`` when the batch ran on the process
-        pool, ``"cache"`` for a content-addressed cache hit); ``None``
-        when no engine ran.
+        Engine that produced the labels (``"contracting"``,
+        ``"sharded"``, ...; ``"cache"`` for a content-addressed cache
+        hit); ``None`` when no engine ran.
     batch_size:
         Occupancy of the batch this request rode in (1 for solo runs).
     queued_seconds / service_seconds / latency_seconds:

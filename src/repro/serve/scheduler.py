@@ -34,8 +34,7 @@ paid once per batch instead of once per request).  This module holds the
   through the dispatcher's rule table
   (:func:`~repro.core.dispatch.choose_engine`), which sends a request
   too big for memory to the sharded engine.  The flush estimate behind
-  deadline pressure and :meth:`BatchPlanner.pool_pays` is the union's
-  ``n + 2m`` units times
+  deadline pressure is the union's ``n + 2m`` units times
   :attr:`~repro.core.dispatch.CostModel.contracting_unit` plus one
   call's :attr:`~repro.core.dispatch.CostModel.request_overhead`.
 """
@@ -188,8 +187,8 @@ class BatchPlanner:
         bigger union costs more per member than it amortises -- the
         default is tuned to that knee, not to memory.
     model:
-        The cost model behind the flush estimate (deadline pressure,
-        :meth:`pool_pays`) and a single request's rule-table dispatch.
+        The cost model behind the flush estimate (deadline pressure)
+        and a single request's rule-table dispatch.
     """
 
     def __init__(
@@ -316,23 +315,6 @@ class BatchPlanner:
         units = max(occupancy, 1) * (key.size + 2 * max(mean_m, 0.0))
         return (units * self.model.contracting_unit
                 + self.model.request_overhead)
-
-    def pool_pays(self, key: BucketKey, occupancy: int,
-                  mean_m: float) -> bool:
-        """Whether shipping one flush to the process pool beats inline.
-
-        A pool dispatch adds one measured round trip
-        (:attr:`~repro.core.dispatch.CostModel.pool_dispatch_overhead`)
-        but runs the batch on another core.  With ``W`` workers the
-        batch costs ``c/W + o`` instead of ``c``, which wins exactly
-        when ``c`` dominates the overhead -- the factor-2 test below is
-        that break-even for the worst useful case ``W = 2``, so small
-        flushes stay inline on any pool size.
-        """
-        if key.size == 0:
-            return False
-        est = self.estimate_batch_seconds(key, occupancy, mean_m)
-        return est >= 2.0 * self.model.pool_dispatch_overhead
 
     def choose_batch_engine(self, key: BucketKey, occupancy: int,
                             mean_m: float) -> str:

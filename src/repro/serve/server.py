@@ -29,19 +29,19 @@ Lifecycle of one request:
 3. **Execution** (worker threads).  A flushed batch of more than one
    member runs as one coalesced contracting solve over the members'
    disjoint union; a single request runs the engine the dispatcher's
-   rule table picks.  Flushes the planner expects to be long, and large
-   sparse requests, can hop to the shared-memory process pool.  Expired
-   and cancelled members are
-   resolved without touching an engine.  Engine failures and worker
-   deaths are retried (``retries``) before resolving ``ERROR``.
+   rule table picks.  The engines release the GIL inside NumPy, so the
+   worker threads share one address space and copy nothing.  Expired
+   and cancelled members are resolved without touching an engine.
+   Engine failures are retried (``retries``) before resolving
+   ``ERROR``.
 4. **Resolution.**  The request's
    :class:`~repro.serve.request.ResultHandle` receives its
    :class:`~repro.serve.request.CCResponse`; the metrics layer records
    queue/service/latency times, occupancy and any deadline miss.
 
 ``stop(drain=True)`` (and the context manager) refuses new work, flushes
-everything queued, waits for in-flight batches, then shuts the pools
-down; ``stop(drain=False)`` cancels whatever is still queued.
+everything queued, waits for in-flight batches, then shuts the worker
+threads down; ``stop(drain=False)`` cancels whatever is still queued.
 
 :func:`serve_many` is the synchronous convenience front-end: submit a
 whole workload, block, get responses back in input order.
@@ -49,7 +49,6 @@ whole workload, block, get responses back in input order.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -61,7 +60,6 @@ from repro.core.dispatch import CostModel, DEFAULT_COST_MODEL, choose_engine
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.hirschberg.edgelist import EdgeListGraph
 from repro.serve.cache import ResultCache, graph_fingerprint
-from repro.serve.executor import PoolExecutor
 from repro.serve.metrics import ServeMetrics
 from repro.serve.request import (
     CCRequest,
@@ -77,20 +75,12 @@ from repro.serve.scheduler import (
     PendingRequest,
     sample_mean_m,
 )
-from repro.serve.workers import (
-    SparseProcessPool,
-    WorkerDied,
-    solve_coalesced,
-    solve_solo,
-)
+from repro.serve.workers import solve_coalesced, solve_solo
 # Unused here; perfbench/serve_wire.py still wraps this module attribute.
 from repro.serve.workers import solve_dense_stack  # noqa: F401
 
 #: Admission (backpressure) policies.
 ADMISSION_POLICIES = ("block", "shed", "fail")
-
-#: Batch execution backends.
-EXECUTORS = ("inline", "pool")
 
 
 @dataclass(frozen=True)
@@ -119,12 +109,6 @@ class ServerConfig:
         Worker threads executing batches (the contracting kernels
         release the GIL inside NumPy).  The scheduler dispatches at
         most this many batches at once and holds the rest.
-    process_workers:
-        Size of the shared-memory process pool for large sparse
-        requests; 0 (default) keeps everything in-process.
-    sparse_process_units:
-        ``n + 2m`` threshold above which a sparse request uses the
-        process pool (when one is configured).
     default_deadline:
         Deadline applied to requests submitted without one (``None`` =
         unbounded).
@@ -132,7 +116,7 @@ class ServerConfig:
         Safety margin (seconds) for the scheduler's deadline-pressure
         flush test.
     retries:
-        Re-execution attempts after an engine failure or worker death.
+        Re-execution attempts after an engine failure.
     pad_buckets:
         Pad node counts to power-of-two buckets so near-miss sizes
         batch together.
@@ -143,13 +127,6 @@ class ServerConfig:
     cost_model:
         Explicit :class:`~repro.core.dispatch.CostModel` override
         (default: the shipped constants).
-    executor:
-        ``"inline"`` (default) runs flushed batches on the server's
-        worker threads; ``"pool"`` ships them to a persistent
-        shared-memory :class:`~repro.serve.executor.PoolExecutor` of
-        ``process_workers`` processes (all cores when 0), falling back
-        inline whenever the cost model says a flush is too small to pay
-        the measured dispatch overhead.
     cache_bytes:
         Byte budget of the content-addressed
         :class:`~repro.serve.cache.ResultCache` (0 = caching off).
@@ -165,15 +142,12 @@ class ServerConfig:
     max_batch: int = 512
     max_wait: float = 0.0
     workers: int = 2
-    process_workers: int = 0
-    sparse_process_units: int = 1_000_000
     default_deadline: Optional[float] = None
     deadline_margin: float = 0.005
     retries: int = 1
     pad_buckets: bool = True
     coalesce_units: int = 32_768
     cost_model: Optional[CostModel] = None
-    executor: str = "inline"
     cache_bytes: int = 0
     cache_verify: bool = False
 
@@ -189,10 +163,6 @@ class ServerConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
         if self.cache_bytes < 0:
             raise ValueError(
                 f"cache_bytes must be >= 0, got {self.cache_bytes}"
@@ -230,8 +200,6 @@ class Server:
         self._batches = 0  # batches dispatched, not yet finished
         self._state = "new"
         self._executor = None
-        self._sparse_pool: Optional[SparseProcessPool] = None
-        self._pool: Optional[PoolExecutor] = None
         self._cache: Optional[ResultCache] = None
         if config.cache_bytes > 0:
             self._cache = ResultCache(
@@ -251,20 +219,6 @@ class Server:
             max_workers=self.config.workers,
             thread_name_prefix="repro-serve-worker",
         )
-        if self.config.executor == "pool":
-            self._pool = PoolExecutor(
-                self.config.process_workers or os.cpu_count() or 1
-            ).start()
-            # replace the shipped constant with this host's measured
-            # round trip so pool_pays() prices real dispatches
-            if self._pool.measured_overhead > 0:
-                self.cost_model = replace(
-                    self.cost_model,
-                    pool_dispatch_overhead=self._pool.measured_overhead,
-                )
-                self._planner.model = self.cost_model
-        elif self.config.process_workers > 0:
-            self._sparse_pool = SparseProcessPool(self.config.process_workers)
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="repro-serve-scheduler",
             daemon=True,
@@ -316,10 +270,6 @@ class Server:
             self._scheduler.join()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        if self._sparse_pool is not None:
-            self._sparse_pool.shutdown()
-        if self._pool is not None:
-            self._pool.shutdown()
         return drained
 
     def __enter__(self) -> "Server":
@@ -451,14 +401,6 @@ class Server:
                 "buckets": len(self._planner._buckets),
                 "state": self._state,
             }
-        if self._sparse_pool is not None:
-            gauges["process_pool_restarts"] = self._sparse_pool.restarts
-        if self._pool is not None:
-            gauges["pool_restarts"] = self._pool.restarts
-            gauges["pool_inflight"] = self._pool.inflight
-            gauges["pool_dispatch_overhead_s"] = round(
-                self._pool.measured_overhead, 6
-            )
         snap = self.metrics.snapshot(gauges)
         if self._cache is not None:
             snap["cache"] = self._cache.stats()
@@ -649,21 +591,14 @@ class Server:
         mean_m = sample_mean_m(runnable)
         engine = self._planner.choose_batch_engine(key, occupancy, mean_m)
         if occupancy > 1 and engine == "contracting":
-            pooled = (self._pool is not None
-                      and self._planner.pool_pays(key, occupancy, mean_m))
             graphs = [p.request.graph for p in runnable]
             try:
-                labels = (self._pool.solve_coalesced(graphs, engine)
-                          if pooled else solve_coalesced(graphs, engine))
+                labels = solve_coalesced(graphs, engine)
             except Exception as exc:  # noqa: BLE001 -- batch-level fallback
-                if isinstance(exc, WorkerDied):
-                    self.metrics.record_worker_restart()
                 self.metrics.record_error()
                 for pending in runnable:
                     self._run_solo(pending, started, batch_error=exc)
                 return
-            if pooled:
-                engine = f"pool:{engine}"
             self._resolve_ok_batch(runnable, labels, engine, started)
             return
         for pending in runnable:
@@ -695,35 +630,13 @@ class Server:
                 return
             self.metrics.record_retry()
         engine = engine or self._solo_engine(pending)
-        use_pool = (
-            pending.sparse
-            and (self._sparse_pool is not None or self._pool is not None)
-            and pending.n + 2 * pending.m >= self.config.sparse_process_units
-        )
         last_error: Optional[Exception] = batch_error
         for attempt in range(max(attempts_left, 1)):
             if attempt > 0:
                 self.metrics.record_retry()
                 pending.attempts += 1
             try:
-                if use_pool:
-                    try:
-                        if self._pool is not None:
-                            labels = self._pool.solve_solo(
-                                pending.request.graph, engine
-                            )
-                        else:
-                            labels = self._sparse_pool.solve(
-                                pending.request.graph, engine
-                            )
-                    except WorkerDied:
-                        self.metrics.record_worker_restart()
-                        # the pool already retried on a fresh worker
-                        # once; any further attempt runs inline
-                        use_pool = False
-                        raise
-                else:
-                    labels = solve_solo(pending.request.graph, engine)
+                labels = solve_solo(pending.request.graph, engine)
             except Exception as exc:  # noqa: BLE001 -- retried, then ERROR
                 last_error = exc
                 self.metrics.record_error()

@@ -80,7 +80,7 @@ def test_attach_edge_list_closes_first_mapping_on_failure(monkeypatch):
 
 
 def test_pool_acquire_slabs_rolls_back_partial_batch(monkeypatch):
-    executor = PoolExecutor(workers=1, calibrate=False)  # never started
+    executor = PoolExecutor(workers=1)  # never started
     try:
         before = live_segments()  # just the heartbeat segment
         calls = {"n": 0}
@@ -108,7 +108,7 @@ def test_pool_acquire_slabs_rolls_back_partial_batch(monkeypatch):
 
 
 def test_acquire_slabs_success_path():
-    executor = PoolExecutor(workers=1, calibrate=False)
+    executor = PoolExecutor(workers=1)
     try:
         slabs = executor._acquire_slabs(
             [((4, 4), np.int8), ((4,), np.int64)]

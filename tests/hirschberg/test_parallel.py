@@ -201,7 +201,7 @@ class TestPooled:
     def pool(self):
         from repro.serve.executor import PoolExecutor
 
-        pool = PoolExecutor(workers=2, calibrate=False).start()
+        pool = PoolExecutor(workers=2).start()
         yield pool
         pool.shutdown()
         assert live_segments() == frozenset()
@@ -220,7 +220,7 @@ class TestPooled:
         from repro.serve.executor import PoolExecutor
 
         g = random_edge_list(1_000, 2_500, seed=33)
-        pool = PoolExecutor(workers=1, calibrate=False).start()
+        pool = PoolExecutor(workers=1).start()
         try:
             res = connected_components_parallel(g, pool=pool)
             assert np.array_equal(res.labels, oracle_labels(g))

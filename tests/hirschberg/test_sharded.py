@@ -184,7 +184,7 @@ class TestShardedPoolPaths:
         from repro.serve.executor import PoolExecutor
 
         g = random_edge_list(2_000, 5_000, seed=32)
-        pool = PoolExecutor(workers=1, calibrate=False).start()
+        pool = PoolExecutor(workers=1).start()
         try:
             res = connected_components_sharded(g, shards=3, pool=pool)
             assert np.array_equal(res.labels, oracle_labels(g))
@@ -201,7 +201,7 @@ class TestShardedPoolPaths:
     def test_executor_solve_shard_empty(self):
         from repro.serve.executor import PoolExecutor
 
-        pool = PoolExecutor(workers=1, calibrate=False).start()
+        pool = PoolExecutor(workers=1).start()
         try:
             verts, reps = pool.solve_shard(
                 5, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -209,6 +209,65 @@ class TestShardedPoolPaths:
             assert verts.size == 0 and reps.size == 0
         finally:
             pool.shutdown()
+
+
+    def test_worker_killed_mid_solve_labels_still_exact(self):
+        """SIGKILL one worker of a borrowed 2-worker pool while the
+        sharded engine is shipping shard solves: the dead worker's
+        task fails over to its replacement, the labels stay exact and
+        no segment leaks."""
+        import os
+        import signal
+        import threading
+        import time
+
+        from repro.serve.executor import PoolExecutor
+
+        g = random_edge_list(20_000, 60_000, seed=33)
+        before = live_segments()
+        pool = PoolExecutor(workers=2).start()
+        try:
+            victim = pool.worker_pids()[0]
+            real = pool.solve_shard
+            killer: list = []
+
+            def solve_shard(n, u, v):
+                if not killer:
+                    # the first shard is on its way: kill a worker just
+                    # after it has been handed work
+                    killer.append(threading.Timer(
+                        0.005, os.kill, (victim, signal.SIGKILL)))
+                    killer[0].start()
+                return real(n, u, v)
+
+            pool.solve_shard = solve_shard
+            res = connected_components_sharded(g, shards=8, pool=pool)
+            killer[0].join(timeout=5.0)
+            assert not killer[0].is_alive()
+            assert np.array_equal(res.labels, oracle_labels(g))
+            deadline = time.monotonic() + 10.0
+            while pool.restarts < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert pool.restarts >= 1
+            assert victim not in pool.worker_pids()
+        finally:
+            pool.shutdown()
+        assert live_segments() == before
+
+    def test_shm_sanitizer_window_is_clean(self):
+        """A pooled sharded solve inside the shm sanitizer: slabs are
+        acquired (the window is not empty), every write-epoch stamp
+        survives and no segment leaks."""
+        from repro.check.sanitizer import shm_sanitizer
+        from repro.serve.executor import PoolExecutor
+
+        g = random_edge_list(6_000, 15_000, seed=34)
+        with shm_sanitizer(strict=False) as report:
+            with PoolExecutor(workers=2) as pool:
+                res = connected_components_sharded(g, shards=4, pool=pool)
+        assert np.array_equal(res.labels, oracle_labels(g))
+        assert report.slab_acquires > 0
+        report.verify()
 
 
 class TestWorkdirHygiene:

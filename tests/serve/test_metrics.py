@@ -51,12 +51,10 @@ class TestCounters:
         m.record_cancelled()
         m.record_error()
         m.record_retry()
-        m.record_worker_restart()
         snap = m.snapshot()["counters"]
         assert snap["cancelled"] == 1
         assert snap["errors"] == 1
         assert snap["retries"] == 1
-        assert snap["worker_restarts"] == 1
 
 
 class TestOccupancy:

@@ -105,42 +105,6 @@ class TestBucketing:
         assert planner.bucket_cap(BucketKey("sparse", 2), members) <= 3
 
 
-class TestPoolPays:
-    def test_small_batches_stay_inline(self):
-        model = CostModel(pool_dispatch_overhead=10.0)  # absurdly costly
-        planner = BatchPlanner(model=model)
-        assert not planner.pool_pays(BucketKey("sparse", 64), 4, 128.0)
-        assert not planner.pool_pays(BucketKey("dense", 64), 16, 0.0)
-
-    def test_expensive_batches_pay(self):
-        model = CostModel(pool_dispatch_overhead=0.0)
-        planner = BatchPlanner(model=model)
-        assert planner.pool_pays(BucketKey("sparse", 512), 8, 1024.0)
-
-    def test_empty_key_never_pays(self):
-        model = CostModel(pool_dispatch_overhead=0.0)
-        planner = BatchPlanner(model=model)
-        assert not planner.pool_pays(BucketKey("dense", 0), 1, 0.0)
-
-    def test_one_constant_estimate_separates_tiny_from_large(self):
-        """Under the shipped model, a flush of tiny graphs stays inline
-        and a flush of large ones rides the pool."""
-        planner = BatchPlanner()
-        assert not planner.pool_pays(BucketKey("sparse", 8), 4, 16.0)
-        assert not planner.pool_pays(BucketKey("dense", 64), 8, 200.0)
-        assert planner.pool_pays(BucketKey("sparse", 4096), 64, 16_384.0)
-        assert planner.pool_pays(BucketKey("dense", 1024), 2, 260_000.0)
-
-    def test_break_even_is_twice_the_overhead(self):
-        planner = BatchPlanner(model=CostModel(pool_dispatch_overhead=1.0))
-        key = BucketKey("sparse", 256)
-        # grow occupancy until the estimate crosses 2x the overhead;
-        # pool_pays must flip exactly there
-        for occupancy in (1, 4, 16, 64, 256, 1024, 4096):
-            est = planner.estimate_batch_seconds(key, occupancy, 512.0)
-            assert planner.pool_pays(key, occupancy, 512.0) == (est >= 2.0)
-
-
 class TestFlushTriggers:
     def test_no_flush_inside_window(self):
         planner = BatchPlanner(max_wait=10.0)

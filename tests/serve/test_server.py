@@ -490,18 +490,6 @@ class TestRetries:
             assert np.array_equal(resp.labels, _oracle(g))
 
 
-class TestProcessPool:
-    def test_large_sparse_request_uses_pool(self):
-        config = _quick_config(
-            process_workers=1, sparse_process_units=100,
-        )
-        g = random_edge_list(200, 400, seed=0)
-        with Server(config) as server:
-            resp = server.submit(g).response(timeout=60.0)
-        assert resp.status is RequestStatus.OK
-        assert np.array_equal(resp.labels, _oracle(g))
-
-
 class TestServeManyAndLoadgen:
     def test_serve_many_preserves_input_order(self):
         graphs = [random_edge_list(8, 16, seed=s) for s in range(12)]

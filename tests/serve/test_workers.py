@@ -1,4 +1,4 @@
-"""Tests for the serve execution backends."""
+"""Tests for the serve solve paths."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.graphs.generators import path_graph, random_graph
 from repro.graphs.union_find import UnionFind
 from repro.hirschberg.edgelist import EdgeListGraph, random_edge_list
 from repro.serve.workers import (
-    SparseProcessPool,
     as_edge_list,
     pad_matrix,
     solve_coalesced,
@@ -122,47 +121,3 @@ class TestSoloAndConversion:
         assert isinstance(converted, EdgeListGraph)
         assert converted.n == 5
 
-
-class TestSparseProcessPool:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            SparseProcessPool(0)
-
-    def test_solve_round_trip(self):
-        pool = SparseProcessPool(1)
-        try:
-            g = random_edge_list(50, 120, seed=8)
-            labels = pool.solve(g, "contracting")
-            assert np.array_equal(labels, _oracle_sparse(g))
-        finally:
-            pool.shutdown()
-
-    @pytest.mark.parametrize("engine", ["contracting", "edgelist", "parallel"])
-    def test_liveness_token_is_component_count(self, engine):
-        """The worker's token (fixed points of the canonical labels)
-        equals the component count, isolated vertices included."""
-        from repro.analysis.shm import share_edge_list
-        from repro.serve.workers import _solve_shared_task
-
-        base = random_edge_list(40, 30, seed=10)
-        g = EdgeListGraph.from_arrays(60, base.src, base.dst)  # 40.. isolated
-        expected = int(np.unique(_oracle_sparse(g)).size)
-        pool = SparseProcessPool(1)
-        workspace, ref = share_edge_list(g)
-        try:
-            slot = workspace.zeros((g.n,), np.int64)
-            token = pool._executor.submit(
-                _solve_shared_task, ref, slot.ref, engine
-            ).result()
-            assert np.array_equal(slot.array, _oracle_sparse(g))
-            assert token == expected
-        finally:
-            workspace.close()
-            workspace.unlink()
-            pool.shutdown()
-
-    def test_shutdown_refuses_new_work(self):
-        pool = SparseProcessPool(1)
-        pool.shutdown()
-        with pytest.raises(RuntimeError, match="shut down"):
-            pool.solve(random_edge_list(5, 10, seed=9), "contracting")
