@@ -17,14 +17,14 @@ paid once per batch instead of once per request).  This module holds the
   union work (``n + 2m`` summed over its members), clamped by
   ``max_batch``.
 * **Flush triggers** -- a bucket flushes on a free worker, a full
-  bucket, deadline pressure, or an opt-in ``max_wait``.  The server
-  passes the number of idle workers to :meth:`BatchPlanner.take_ready`,
-  which hands out at most that many flushes, most urgent bucket first
-  (tightest deadline, then oldest member).  With the default
-  ``max_wait=0`` any queued bucket is ready as soon as a worker is
-  free; while every worker is busy, requests stay here and keep
-  coalescing up to the batch-size cap (the adaptive batching of
-  Clipper, Crankshaw et al., NSDI 2017).  A positive ``max_wait`` is a
+  bucket, deadline pressure, or an opt-in ``max_wait``.  Each idle
+  worker of the server asks :meth:`BatchPlanner.take_ready` for one
+  flush, the most urgent ready bucket (tightest deadline, then oldest
+  member), and otherwise waits out :meth:`BatchPlanner.next_due`.
+  With the default ``max_wait=0`` any queued bucket is ready as soon
+  as a worker is free; while every worker is busy, requests stay here
+  and keep coalescing up to the batch-size cap (the adaptive batching
+  of Clipper, Crankshaw et al., NSDI 2017).  A positive ``max_wait`` is a
   minimum hold: a bucket that is neither full nor under *deadline
   pressure* (some member's remaining budget no longer covers the
   estimated flush time plus margin) waits until its oldest member has
@@ -126,7 +126,7 @@ class Bucket:
 
     The aggregates (work units, oldest arrival, tightest deadline) are
     maintained incrementally on admit and recomputed only after a flush
-    removes members -- the scheduler consults them on every wake-up, so
+    removes members -- idle workers consult them on every wake-up, so
     they must not cost a scan of the members.
     """
 
@@ -245,7 +245,7 @@ class BatchPlanner:
         """File one admitted request into its bucket.
 
         Returns ``True`` when the bucket reached its flush cap -- the
-        caller should wake the scheduler rather than wait out an
+        caller should wake an idle worker rather than wait out an
         opt-in hold.
 
         This is the per-submission hot path: buckets live under plain
@@ -363,23 +363,20 @@ class BatchPlanner:
     ) -> List[List[PendingRequest]]:
         """Remove and return the batches to dispatch now.
 
-        ``free`` is the number of idle workers (``None`` = unbounded):
-        at most that many flushes are handed out, each from the most
-        urgent ready bucket (tightest deadline, then oldest member).  A
-        bucket is ready when full, when its oldest member has been held
+        ``free`` caps how many flushes are handed out (``None`` =
+        unbounded; an idle worker asks for 1), each from the most urgent
+        ready bucket (tightest deadline, then oldest member).  A bucket
+        is ready when full, when its oldest member has been held
         ``max_wait`` (at once by default), or under deadline pressure;
         members are packed most-urgent-first when the bucket overflows
-        its cap.  With no worker free nothing flushes and requests keep
-        coalescing.  ``force=True`` (drain) flushes everything,
-        whatever ``free`` says.
+        its cap.  ``force=True`` (drain) makes every bucket ready.
 
-        This runs on every scheduler wake-up: the no-flush path must
-        stay O(buckets), using only the cached bucket aggregates.
+        This runs on every worker wake-up: the no-flush path must stay
+        O(buckets), using only the cached bucket aggregates.
         """
         now = time.monotonic() if now is None else now
-        limit = None if force else free
         flushes: List[List[PendingRequest]] = []
-        while limit is None or len(flushes) < limit:
+        while free is None or len(flushes) < free:
             pick = self._most_urgent_ready(now, force)
             if pick is None:
                 break
@@ -397,15 +394,10 @@ class BatchPlanner:
                 bucket.refresh()
         return flushes
 
-    def next_due(
-        self, now: Optional[float] = None, free: Optional[int] = None
-    ) -> Optional[float]:
+    def next_due(self, now: Optional[float] = None) -> Optional[float]:
         """Seconds until the earliest time-based flush trigger, or
-        ``None`` when nothing is queued or no worker is free
-        (``free == 0``): the scheduler then waits for an event -- an
-        arrival or a finished batch -- instead of polling."""
-        if free is not None and free <= 0:
-            return None
+        ``None`` when nothing is queued: an idle worker then waits for
+        an arrival instead of polling."""
         now = time.monotonic() if now is None else now
         due = None
         for bucket in self._buckets.values():

@@ -18,22 +18,24 @@ Lifecycle of one request:
    ``"fail"`` (raise :class:`~repro.serve.request.QueueFull`).  A full
    queue first gives up the held requests whose deadline has passed
    (resolved ``TIMEOUT``), so dead requests never shed live ones.
-2. **Scheduling** (the scheduler thread).  Admitted requests are filed
+2. **Scheduling** (no thread of its own).  Admitted requests are filed
    into size/kind buckets by the
-   :class:`~repro.serve.scheduler.BatchPlanner`, which flushes a bucket
-   on a free worker, a full bucket, deadline pressure, or an opt-in
-   ``max_wait``.  The scheduler hands out at most one batch per idle
-   worker; while every worker is busy, requests stay in the planner and
-   keep coalescing, so a batch forms from whatever arrived during the
-   previous one.
-3. **Execution** (worker threads).  A flushed batch of more than one
+   :class:`~repro.serve.scheduler.BatchPlanner`.  Each idle worker
+   thread takes the most urgent ready flush from the planner itself --
+   at once by default, or when a bucket fills, comes under deadline
+   pressure or has been held an opt-in ``max_wait``; until then it
+   waits for an arrival or the planner's next due time.  While every
+   worker is busy, requests stay in the planner and keep coalescing, so
+   a batch forms from whatever arrived during the previous one.
+3. **Execution** (the same worker thread).  A flushed batch of more than one
    member runs as one coalesced contracting solve over the members'
    disjoint union; a single request runs the engine the dispatcher's
    rule table picks.  The engines release the GIL inside NumPy, so the
    worker threads share one address space and copy nothing.  Expired
    and cancelled members are resolved without touching an engine.
    Engine failures are retried (``retries``) before resolving
-   ``ERROR``.
+   ``ERROR``; any other fault in a batch resolves its unresolved
+   members ``ERROR`` and the worker goes on serving.
 4. **Resolution.**  The request's
    :class:`~repro.serve.request.ResultHandle` receives its
    :class:`~repro.serve.request.CCResponse`; the metrics layer records
@@ -90,10 +92,9 @@ class ServerConfig:
     Attributes
     ----------
     max_queue:
-        Admission bound: requests held by the scheduler (admitted, not
+        Admission bound: requests held by the planner (admitted, not
         yet on a worker) beyond this trigger the backpressure policy.
-        Since at most ``workers`` batches are dispatched at a time,
-        every admitted request that is not running counts, except that
+        Every admitted request that is not running counts, except that
         a full queue first resolves held requests past their deadline
         as ``TIMEOUT`` to free their slots.
     admission:
@@ -107,13 +108,14 @@ class ServerConfig:
         dispatches as soon as a worker is free.
     workers:
         Worker threads executing batches (the contracting kernels
-        release the GIL inside NumPy).  The scheduler dispatches at
-        most this many batches at once and holds the rest.
+        release the GIL inside NumPy).  Each runs one batch at a time,
+        so at most this many run at once and the planner holds the
+        rest.
     default_deadline:
         Deadline applied to requests submitted without one (``None`` =
         unbounded).
     deadline_margin:
-        Safety margin (seconds) for the scheduler's deadline-pressure
+        Safety margin (seconds) for the planner's deadline-pressure
         flush test.
     retries:
         Re-execution attempts after an engine failure.
@@ -196,34 +198,28 @@ class Server:
         self._work_cv = threading.Condition(self._lock)
         self._space_cv = threading.Condition(self._lock)
         self._idle_cv = threading.Condition(self._lock)
-        self._in_flight = 0  # requests dispatched, not yet resolved
-        self._batches = 0  # batches dispatched, not yet finished
+        self._in_flight = 0  # requests taken by workers, not yet resolved
         self._state = "new"
-        self._executor = None
         self._cache: Optional[ResultCache] = None
         if config.cache_bytes > 0:
             self._cache = ResultCache(
                 config.cache_bytes, verify_first_hit=config.cache_verify
             )
-        self._scheduler: Optional[threading.Thread] = None
+        self._workers: List[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Server":
-        from concurrent.futures import ThreadPoolExecutor
-
         with self._lock:
             if self._state != "new":
                 raise RuntimeError(f"cannot start a {self._state} server")
             self._state = "running"
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-serve-worker",
-        )
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="repro-serve-scheduler",
-            daemon=True,
-        )
-        self._scheduler.start()
+        self._workers = [
+            threading.Thread(target=self._worker_loop,
+                             name=f"repro-serve-worker-{k}", daemon=True)
+            for k in range(self.config.workers)
+        ]
+        for worker in self._workers:
+            worker.start()
         self._warmup()
         return self
 
@@ -264,12 +260,13 @@ class Server:
                     timeout,
                 )
             self._state = "stopped"
+            for pending in self._planner.drain_all():
+                self.metrics.record_cancelled()
+                self._resolve(pending, RequestStatus.CANCELLED)
             self._work_cv.notify_all()
             self._space_cv.notify_all()
-        if self._scheduler is not None:
-            self._scheduler.join()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        for worker in self._workers:
+            worker.join()
         return drained
 
     def __enter__(self) -> "Server":
@@ -366,15 +363,15 @@ class Server:
                         "waited for queue space"
                     )
             self.metrics.record_submitted(admitted=True)
-            # Wake the scheduler only when it could not know to wake
-            # itself: the queue was empty (it may be in an unbounded
+            # Wake an idle worker only when none would otherwise come:
+            # the queue was empty (idle workers may be in an unbounded
             # wait), this arrival filled a bucket to its cap, or it
             # carries a deadline that may tighten the next flush time.
-            # Anything else joins a queue the scheduler already knows
-            # about: it is taken when a worker frees (a finished batch
-            # wakes the scheduler) or an opt-in hold expires, and
-            # waking the scheduler per submission costs more than
-            # serving the request.
+            # Anything else joins a queue some worker will take from
+            # anyway -- one already woken for it, one whose hold times
+            # out, or a busy one when its batch finishes -- and a
+            # wake-up per submission costs more than serving the
+            # request.
             was_empty = self._planner.queued_count() == 0
             full = self._planner.add(pending)
             if was_empty or full or pending.deadline_at is not None:
@@ -421,29 +418,26 @@ class Server:
             self._space_cv.notify_all()
         return bool(expired)
 
-    def _scheduler_loop(self) -> None:
+    def _worker_loop(self) -> None:
+        """One worker: take the most urgent ready flush, run it, repeat;
+        with nothing ready, wait for an arrival or the next due time."""
         while True:
             with self._lock:
-                if self._state == "stopped":
-                    for pending in self._planner.drain_all():
-                        self.metrics.record_cancelled()
-                        self._resolve(pending, RequestStatus.CANCELLED)
-                    self._idle_cv.notify_all()
-                    return
-                free = self.config.workers - self._batches
-                dispatches = self._planner.take_ready(
-                    force=(self._state == "draining"), free=free
-                )
-                if not dispatches:
-                    # with no worker free next_due is None: block until
-                    # an arrival or a finished batch notifies
-                    self._work_cv.wait(self._planner.next_due(free=free))
-                    continue
-                self._batches += len(dispatches)
-                self._in_flight += sum(len(b) for b in dispatches)
+                while True:
+                    if self._state == "stopped":
+                        return
+                    taken = self._planner.take_ready(
+                        force=(self._state == "draining"), free=1
+                    )
+                    if taken:
+                        break
+                    self._work_cv.wait(self._planner.next_due())
+                batch = taken[0]
+                self._in_flight += len(batch)
                 self._space_cv.notify_all()
-            for batch in dispatches:
-                self._executor.submit(self._execute, batch)
+                if self._planner.queued_count():
+                    self._work_cv.notify()  # more work: pass it on
+            self._execute(batch)
 
     def _resolve(self, pending: PendingRequest, status: RequestStatus,
                  **fields) -> None:
@@ -544,14 +538,17 @@ class Server:
                 runnable = self._check_cache(runnable, started)
             if runnable:
                 self._run_batch(runnable, started)
+        except Exception as exc:  # noqa: BLE001 -- keep the worker alive
+            # a fault outside the engines' own retry path: resolve what
+            # is still pending (first writer wins) instead of stranding it
+            self.metrics.record_error()
+            for pending in batch:
+                self._resolve(pending, RequestStatus.ERROR,
+                              error=f"execution failed: {exc!r}")
         finally:
             with self._lock:
                 self._in_flight -= len(batch)
-                self._batches -= 1
-                if self._queued_locked():
-                    # a worker is free and the planner holds work
-                    self._work_cv.notify()
-                elif self._in_flight == 0:
+                if self._in_flight == 0:
                     self._idle_cv.notify_all()
 
     def _check_cache(self, runnable: List[PendingRequest],

@@ -1,8 +1,8 @@
 """Solve paths of the serving layer.
 
 The engines are NumPy-bound -- they release the GIL inside the array
-ops -- so the server's worker *threads* (a plain
-``concurrent.futures.ThreadPoolExecutor``) run them directly via
+ops -- so the server's worker *threads* (plain threads, each taking its
+own flushes from the planner) run them directly via
 :func:`solve_coalesced` / :func:`solve_solo`.  No serialisation, no
 process boundary: every thread reads the request's arrays in place.
 

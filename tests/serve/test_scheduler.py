@@ -238,25 +238,30 @@ class TestWorkConserving:
         assert [len(b) for b in flushes] == [2, 2]
         assert planner.queued_count() == 1
 
-    def test_force_ignores_free(self):
+    def test_force_respects_free(self):
+        # a draining worker takes one flush at a time; the other
+        # workers drain the rest in parallel
         planner = BatchPlanner(coalesce_units=80)
-        for _ in range(5):
+        for _ in range(5):  # cap 2: three flushes' worth
             planner.add(_pending(n=8, m=16, submitted_at=100.0))
-        flushes = planner.take_ready(now=100.0, force=True, free=0)
-        assert [len(b) for b in flushes] == [2, 2, 1]
+        flushes = planner.take_ready(now=100.0, force=True, free=1)
+        assert [len(b) for b in flushes] == [2]
+        assert planner.queued_count() == 3
+        flushes = planner.take_ready(now=100.0, force=True)
+        assert [len(b) for b in flushes] == [2, 1]
         assert planner.queued_count() == 0
 
     def test_opt_in_hold_still_applies_with_a_free_worker(self):
         planner = BatchPlanner(max_wait=0.5)
         planner.add(_pending(submitted_at=100.0))
         assert planner.take_ready(now=100.1, free=1) == []
-        assert planner.next_due(now=100.1, free=1) == pytest.approx(0.4)
+        assert planner.next_due(now=100.1) == pytest.approx(0.4)
 
-    def test_next_due_none_while_no_worker_is_free(self):
+    def test_deadline_pressure_is_due_at_once(self):
         planner = BatchPlanner()
         planner.add(_pending(submitted_at=100.0, deadline_at=100.001))
-        assert planner.next_due(now=100.0, free=0) is None
-        assert planner.next_due(now=100.0, free=1) == 0.0
+        assert planner.next_due(now=100.0) == 0.0
+        assert len(planner.take_ready(now=100.0, free=1)) == 1
 
 
 class TestNextDue:

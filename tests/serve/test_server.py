@@ -259,6 +259,33 @@ class TestWorkConservingFlush:
             assert resp.status is RequestStatus.OK
             assert np.array_equal(resp.labels, _oracle(g))
 
+    def test_a_worker_that_leaves_work_wakes_an_idle_one(self, monkeypatch):
+        # Both requests arrive within one hold, so only the first
+        # arrival wakes a worker.  That worker takes the older bucket
+        # and must pass the other on to the idle worker rather than
+        # leave it queued behind its own (held) batch.
+        both, release = threading.Event(), threading.Event()
+        running = []
+
+        def gate():
+            running.append(threading.current_thread().name)
+            if len(running) == 2:
+                both.set()
+            release.wait(10.0)
+
+        with Server(workers=2, max_wait=0.05) as server:
+            _hook_engines(monkeypatch, gate)
+            try:
+                first = server.submit(random_edge_list(8, 16, seed=0))
+                second = server.submit(random_edge_list(64, 128, seed=1))
+                assert both.wait(5.0), "the second batch never started"
+                assert len(set(running)) == 2
+            finally:
+                release.set()
+            for handle in (first, second):
+                assert handle.response(timeout=10.0).status is (
+                    RequestStatus.OK)
+
     def test_held_requests_count_against_max_queue(self, monkeypatch):
         config = ServerConfig(workers=1, max_queue=3, admission="fail")
         with Server(config) as server:
@@ -305,10 +332,12 @@ class TestWorkConservingFlush:
 
     def test_dispatched_batches_never_exceed_workers(self):
         """Stress: four submitting threads, three workers, a tiny switch
-        interval.  A lost update of the in-flight batch count would let
-        the scheduler dispatch more batches than there are workers, or
-        leave the count off zero at the end."""
+        interval.  A worker that took a second batch, or a lost update
+        of the in-flight count, would run more batches at once than
+        there are workers, or leave the count off zero at the end."""
         seen = []
+        running = {"count": 0}
+        count_lock = threading.Lock()
         graphs = [random_edge_list(8 << (s % 3), 16 << (s % 3), seed=s)
                   for s in range(300)]
         handles = [None] * len(graphs)
@@ -316,13 +345,19 @@ class TestWorkConservingFlush:
         sys.setswitchinterval(1e-6)
         server = Server(workers=3).start()
         try:
-            real_submit = server._executor.submit
+            real_execute = server._execute
 
-            def recording_submit(fn, batch):
-                seen.append(server._batches)  # scheduler thread only
-                return real_submit(fn, batch)
+            def counting_execute(batch):
+                with count_lock:
+                    running["count"] += 1
+                    seen.append(running["count"])
+                try:
+                    real_execute(batch)
+                finally:
+                    with count_lock:
+                        running["count"] -= 1
 
-            server._executor.submit = recording_submit
+            server._execute = counting_execute
 
             def submit(offset):
                 for i in range(offset, len(graphs), 4):
@@ -340,10 +375,39 @@ class TestWorkConservingFlush:
             sys.setswitchinterval(interval)
             server.stop()
         assert seen and max(seen) <= 3
-        assert server._batches == 0 and server.in_flight == 0
+        assert running["count"] == 0 and server.in_flight == 0
         for g, resp in zip(graphs, responses):
             assert resp.status is RequestStatus.OK
             assert np.array_equal(resp.labels, _oracle(g))
+
+
+class TestFaults:
+    def test_fault_outside_the_engines_resolves_error(self):
+        """A fault that escapes the engines' retry path (here the
+        planner's engine choice) resolves the batch ``ERROR`` within a
+        bounded time, and the only worker goes on serving."""
+        g = random_edge_list(8, 16, seed=0)
+        server = Server(_quick_config()).start()
+        try:
+            real_choose = server._planner.choose_batch_engine
+            calls = {"count": 0}
+
+            def faulty_choose(*args, **kwargs):
+                calls["count"] += 1
+                if calls["count"] == 1:
+                    raise RuntimeError("injected planner fault")
+                return real_choose(*args, **kwargs)
+
+            server._planner.choose_batch_engine = faulty_choose
+            failed = server.submit(g).response(timeout=5.0)
+            assert failed.status is RequestStatus.ERROR
+            assert "injected planner fault" in failed.error
+            served = server.submit(g).response(timeout=5.0)
+            assert served.status is RequestStatus.OK
+            assert np.array_equal(served.labels, _oracle(g))
+        finally:
+            assert server.stop(timeout=5.0)
+        assert server.metrics.errors == 1 and server.in_flight == 0
 
 
 class TestDeadlines:
@@ -419,15 +483,31 @@ class TestCancellation:
         assert resp.status is RequestStatus.CANCELLED
         assert server.metrics.cancelled >= 1
 
-    def test_stop_without_drain_cancels_queued(self):
-        config = _quick_config(max_wait=5.0)
-        server = Server(config).start()
-        handles = [server.submit(random_edge_list(8, 16, seed=s))
-                   for s in range(4)]
-        server.stop(drain=False)
-        statuses = {h.response(timeout=10.0).status for h in handles}
-        assert statuses <= {RequestStatus.CANCELLED, RequestStatus.OK}
-        assert RequestStatus.CANCELLED in statuses
+    def test_stop_without_drain_cancels_queued(self, monkeypatch):
+        # the only worker is held inside a running batch: stop cancels
+        # the queued requests at once, then waits for the running batch
+        server = Server(_quick_config()).start()
+        entered, release = _gate_engines(monkeypatch)
+        try:
+            running = server.submit(random_edge_list(8, 16, seed=0))
+            assert entered.wait(10.0)
+            queued = [server.submit(random_edge_list(8, 16, seed=s))
+                      for s in range(1, 5)]
+            stopper = threading.Thread(target=server.stop,
+                                       kwargs={"drain": False})
+            stopper.start()
+            for handle in queued:
+                assert handle.response(timeout=10.0).status is (
+                    RequestStatus.CANCELLED)
+            assert not running.done() and stopper.is_alive()
+        finally:
+            release.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert running.response(timeout=0).status is RequestStatus.OK
+        assert server.metrics.cancelled == 4
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("repro-serve-worker")]
 
 
 class TestDrain:
