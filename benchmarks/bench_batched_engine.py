@@ -9,8 +9,10 @@ graphs) on four execution strategies:
 * ``single_early``  -- same loop with ``early_exit=True``;
 * ``batched``       -- one :class:`repro.core.batched.BatchedGCA` call,
   full schedule;
-* ``batched_early`` -- one batched call with per-graph convergence
-  retirement (the default batched mode).
+* ``batched_early`` -- one batched call with ``early_exit`` (the
+  default batched mode).  It does the same work as ``batched``: the
+  kernel never runs a graph past its fixed point, and ``early_exit``
+  only changes the counts it reports.
 
 Every mode's labels are verified against the union-find oracle, and the
 batched labels are additionally required to be bit-identical to the

@@ -232,9 +232,11 @@ def connected_components(
         Override the outer-iteration count (default ``ceil(log2 n)``;
         for the contracting engine this caps the contraction levels).
     early_exit:
-        Stop at the label fixed point instead of running the full
-        schedule.  Supported by the vectorised engine.  The batched
-        engine accepts it but always stops at the fixed point, whatever
+        Report the run as stopping at the label fixed point instead of
+        running the full schedule.  Supported by the vectorised engine;
+        the labels and the work are the same either way, since the
+        dense-field kernel does nothing past a graph's fixed point.  The
+        batched engine accepts it but always reports the stop, whatever
         its value.  ``engine="auto"`` ignores it and dispatches through
         :func:`~repro.core.dispatch.choose_engine` as usual: every
         engine it picks stops at its fixed point anyway, and the flag

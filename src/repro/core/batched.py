@@ -2,26 +2,41 @@
 
 The GCA's promise is that all ``n(n+1)`` cells compute simultaneously;
 the throughput unit of a production deployment is *many graphs*.  This
-module stacks ``B`` same-size graphs into one ``(B, n+1, n)`` field and
-runs each outer iteration for the whole batch at once, so the Python
-dispatch overhead of the schedule is paid once per iteration for the
-whole batch instead of once per graph.
+module runs ``B`` same-size graphs as one disjoint union of ``B * n``
+vertices, with global ids ``slot * n + v``, so the Python dispatch
+overhead of the schedule is paid once per outer iteration for the whole
+batch instead of once per graph.
 
 An outer iteration (generations 1-11 of Figure 2) reads nothing of the
-field but its label column ``D[:n, 0]``: generation 1 rebroadcasts it.
-:func:`_apply_iteration` therefore computes the iteration as the map on
-that column it is -- generations 1-4 as one masked row minimum over the
-adjacency, generations 5-8 as one scatter-min of the hooks onto their
-supervertices (the label-propagation form of Burkhardt and of Liu and
-Tarjan), generations 9-11 as pointer jumps on the column -- and then
-writes the field the 11 generations leave, once.
+``(n+1) x n`` field but its label column ``D[:n, 0]``: generation 1
+rebroadcasts it.  :func:`_apply_iteration` therefore computes the
+iteration as the map on that column it is, from the edges that still
+join two different labels (the cross pairs) -- the form of a round in
+Liu and Tarjan's ALTER step and in Burkhardt's label propagation:
 
-Convergence is tracked per graph: an outer iteration that leaves a
-graph's label column ``D[g, :n, 0]`` unchanged has reached that graph's
-fixed point.  Converged graphs retire from the batch -- their labels are
-written to the output and the remaining graphs are compacted to a
-contiguous prefix -- so a batch's cost tracks its stragglers, not its
-size times the worst case.
+* iteration 0 starts from the identity labels, so generations 1-8
+  reduce to each row's first neighbour, one ``argmax`` over the
+  stacked adjacency;
+* every later iteration does generations 1-8 as two scatter-mins of
+  the partners' labels onto the endpoints' supervertices;
+* generations 9-11 are pointer jumps on the column, stopped at the
+  first no-op jump (exact: a jump that changes nothing is a fixed
+  point), then ``min(c, hooked[c])``.
+
+The field the 11 generations leave is ``D[:n, :] = hooked[:, None]``,
+``D[n, :] = hooked`` and ``D[:n, 0] = labels``, with ``hooked`` the
+column of generations 5-8 that :func:`_apply_iteration` returns; the run
+never materialises it.
+
+After iteration 0 reads the adjacency once more for the cross pairs,
+each iteration drops the pairs whose labels now agree, for good (equal
+labels stay equal).  A graph is at its fixed point exactly when it has
+no cross pair left, so an iteration that leaves its labels unchanged is
+the one that starts without any; past that point no pair of that graph
+is left to process.
+``early_exit`` only decides what the counts report: with it, each graph
+reports the iterations up to and including that no-op one; without it,
+every graph reports the full schedule.  The labels are the same.
 
 Two entry points:
 
@@ -29,24 +44,24 @@ Two entry points:
 * :func:`connected_components_batch` -- the mixed-size convenience API
   that buckets inputs by ``n`` and reassembles the labels in input order.
 
-:func:`_apply_iteration` is the repository's only fused field kernel:
+This is the repository's only fused field kernel:
 :func:`repro.core.vectorized.run_vectorized` runs it at ``B = 1``.  The
-test-suite checks its whole field against generations 1-11 of the
-per-generation reference :func:`repro.core.vectorized.apply_generation`,
-and its labels against the interpreter and the union-find oracle.
+test-suite rebuilds the whole field from ``hooked`` and the labels and
+checks it against generations 1-11 of the per-generation reference
+:func:`repro.core.vectorized.apply_generation` after every iteration,
+and checks the labels against the interpreter and the union-find oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.schedule import generations_per_iteration
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.util.intmath import jump_iterations, outer_iterations
-from repro.util.sentinels import infinity_for
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
@@ -72,7 +87,7 @@ class BatchedResult:
     iterations:
         Scheduled outer iterations (``ceil(log2 n)`` unless overridden).
     iterations_run:
-        ``(B,)`` -- outer iterations each graph actually executed.
+        ``(B,)`` -- outer iterations each graph reports as executed.
     converged_at_iteration:
         ``(B,)`` -- 0-based index of the first iteration that left the
         graph's labels unchanged, or ``-1`` if it ran the full schedule.
@@ -104,7 +119,7 @@ class BatchedResult:
 
 
 class BatchedGCA:
-    """Run ``B`` same-size graphs as one stacked ``(B, n+1, n)`` field.
+    """Run ``B`` same-size graphs as one disjoint union of ``B * n`` vertices.
 
     Parameters
     ----------
@@ -113,9 +128,10 @@ class BatchedGCA:
     iterations:
         Outer-iteration override (default ``ceil(log2 n)``).
     early_exit:
-        Retire graphs from the batch as soon as an iteration leaves their
-        labels unchanged (default on -- labels are bit-identical either
-        way, only the work shrinks).
+        Report each graph as stopping at the first iteration that leaves
+        its labels unchanged (default on).  The work and the labels are
+        the same either way: no iteration touches a graph past its fixed
+        point; without early exit every graph reports the full schedule.
     """
 
     def __init__(
@@ -141,97 +157,57 @@ class BatchedGCA:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         self.early_exit = early_exit
         self._matrices = mats
-        # the field only ever holds values 0..n(n+1); int32 halves the
-        # memory traffic of the (memory-bound) whole-batch kernels
-        self._dtype = (
-            np.int32
-            if n == 0 or infinity_for(n) <= np.iinfo(np.int32).max
-            else np.int64
-        )
 
     # ------------------------------------------------------------------
     def run(self) -> BatchedResult:
         n = self.n
         B = self.batch_size
+        iterations_run = np.full(B, self.iterations, dtype=np.int64)
+        converged_at = np.full(B, -1, dtype=np.int64)
         if n == 0:
-            # A zero-node graph has no labels and needs no field at all.
+            # A zero-node graph has no labels and runs no iteration.
             return BatchedResult(
                 labels=np.empty((B, 0), dtype=np.int64),
                 n=0,
                 batch_size=B,
                 iterations=self.iterations,
                 iterations_run=np.zeros(B, dtype=np.int64),
-                converged_at_iteration=np.full(B, -1, dtype=np.int64),
+                converged_at_iteration=converged_at,
             )
-        if n == 1:
-            # A lone node is its own component and every iteration is a
-            # fixed point.  Generation 11's pointer d*n + 1 reads the
-            # archive row at n = 1, which D[:, :, 1] cannot express.
-            ran = min(self.iterations, 1) if self.early_exit else self.iterations
-            return BatchedResult(
-                labels=np.zeros((B, 1), dtype=np.int64),
-                n=1,
-                batch_size=B,
-                iterations=self.iterations,
-                iterations_run=np.full(B, ran, dtype=np.int64),
-                converged_at_iteration=np.full(
-                    B, 0 if self.early_exit and ran else -1, dtype=np.int64
-                ),
-            )
-        inf = infinity_for(n)
         jumps = jump_iterations(n)
 
-        out_labels = np.empty((B, n), dtype=np.int64)
-        iterations_run = np.full(B, self.iterations, dtype=np.int64)
-        converged_at = np.full(B, -1, dtype=np.int64)
-
-        # generation 0 on the whole stacked field
-        D = np.empty((B, n + 1, n), dtype=self._dtype)
-        D[:, :, :] = np.arange(n + 1, dtype=self._dtype)[None, :, None]
-
-        # the stacked adjacency belongs to this run, so retirement can
-        # compact it in place along with the field
-        adjacent = np.empty((B, n, n), dtype=bool)
-        for slot, matrix in enumerate(self._matrices):
-            np.equal(matrix, 1, out=adjacent[slot])
-        index = np.arange(B)                     # original slot of each row
-        prev = D[:, :n, 0].copy()
-        # scratch, sliced down as the batch shrinks
-        mask = np.empty((B, n, n), dtype=bool)
+        # the matrices are validated 0/1 int8, so a bool view is exact
+        adjacent = np.stack([m.view(np.bool_) for m in self._matrices])
+        labels = np.arange(B * n, dtype=np.intp)  # global ids slot*n + v
+        # graphs with a cross pair at the start of the current iteration:
+        # at iteration 0 every edge crosses
+        live = adjacent.reshape(B, -1).any(axis=1)
+        was_live = np.ones(B, dtype=bool)
+        u = v = None
 
         for it in range(self.iterations):
-            k = D.shape[0]
-            _apply_iteration(D, adjacent, mask[:k], n, inf, jumps)
-            labels = D[:, :n, 0]
-            if not self.early_exit:
-                continue
-            changed = np.any(labels != prev, axis=1)
-            if not changed.all():
-                done = ~changed
-                retired = index[done]
-                out_labels[retired] = labels[done]
-                iterations_run[retired] = it + 1
-                converged_at[retired] = it
-                # compact the survivors into a contiguous prefix of the
-                # same buffers (each moves down, never up), which shrinks
-                # every later iteration's working set without allocating
-                keep = np.flatnonzero(changed)
-                for dst, src in enumerate(keep.tolist()):
-                    if dst != src:
-                        D[dst] = D[src]
-                        adjacent[dst] = adjacent[src]
-                live = keep.size
-                D, adjacent = D[:live], adjacent[:live]
-                index, prev = index[keep], prev[:live]
-                if live == 0:
-                    break
-            np.copyto(prev, D[:, :n, 0])
+            if self.early_exit:
+                # no cross pair left: iteration it is the graph's no-op
+                fixed = was_live & ~live
+                converged_at[fixed] = it
+                iterations_run[fixed] = it + 1
+            if not live.any():
+                break
+            was_live = live
+            if it == 0:
+                _apply_iteration(labels, None, None, jumps, adjacent=adjacent)
+                u, v = _cross_pairs(labels, adjacent)
+            else:
+                _apply_iteration(labels, u, v, jumps)
+                crossing = labels[u] != labels[v]
+                u, v = u[crossing], v[crossing]
+            live = np.zeros(B, dtype=bool)
+            live[u // n] = True
 
-        if index.size:
-            out_labels[index] = D[:, :n, 0]
-
+        out = labels.reshape(B, n).astype(np.int64)
+        out -= (np.arange(B, dtype=np.int64) * n)[:, None]
         return BatchedResult(
-            labels=out_labels,
+            labels=out,
             n=n,
             batch_size=B,
             iterations=self.iterations,
@@ -241,56 +217,69 @@ class BatchedGCA:
 
 
 def _apply_iteration(
-    D: np.ndarray,
-    adjacent: np.ndarray,
-    mask: np.ndarray,
-    n: int,
-    inf: int,
+    labels: np.ndarray,
+    u: Optional[np.ndarray],
+    v: Optional[np.ndarray],
     jumps: int,
-) -> None:
-    """One outer iteration (generations 1..11) on the stacked field.
+    adjacent: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One outer iteration (generations 1-11) on the batch's label column.
 
-    The iteration reads nothing of ``D`` but the label column
-    ``C = D[:, :n, 0]`` (generation 1 rebroadcasts it), so the kernel
-    computes the iteration map on that column and writes the field the
-    11 generations leave once, at the end.  ``adjacent`` is the ``(k, n,
-    n)`` bool adjacency and ``mask`` a bool scratch buffer of the same
-    shape; every array carries a leading batch axis ``k``.
+    ``labels`` is the ``(B*n,)`` column of global ids, a star forest
+    (every label is a root, ``labels[labels] == labels``); it is
+    rewritten in place.  ``u < v`` are the cross pairs, the edges whose
+    endpoints carry different labels.  On iteration 0 pass the ``(B, n,
+    n)`` bool ``adjacent`` instead (and ``None`` pairs): the labels are
+    the identity there, so generations 1-8 reduce to each row's first
+    neighbour.  Returns ``hooked``, the column generations 5-8 leave,
+    which generation 9 distributes over the field.
     """
-    k = D.shape[0]
-    C = D[:, :n, 0].copy()
+    if adjacent is not None:
+        n = adjacent.shape[2]
+        first = adjacent.argmax(axis=2).reshape(-1)  # local, 0 if isolated
+        has = adjacent.reshape(-1)[labels * n + first]
+        hooked = np.where(has, labels - labels % n + first, labels)
+    else:
+        # gens 1-8: T'[s] = min{C[j] : (i, j) crosses, C[i] = s}, else
+        # C[s] -- each cross pair offers each endpoint's root the other's
+        # label.  Only roots receive offers, so non-roots keep C[s].
+        inf = labels.size
+        cu, cv = labels[u], labels[v]
+        hooked = np.full(inf, inf, dtype=labels.dtype)
+        np.minimum.at(hooked, cu, cv)
+        np.minimum.at(hooked, cv, cu)
+        hooked = np.where(hooked == inf, labels, hooked)
 
-    # gens 1-4: T[i] = min{C[j] : A(i, j), C[j] != C[i]}, else C[i] --
-    # one masked row minimum, without the masked integer field.  An
-    # empty row is left at inf rather than C[i]: gens 5-8 drop both
-    np.not_equal(C[:, None, :], C[:, :, None], out=mask)
-    np.logical_and(mask, adjacent, out=mask)
-    T = np.min(
-        np.broadcast_to(C[:, None, :], mask.shape),
-        axis=2, where=mask, initial=inf,
-    )
-
-    # gens 5-8: T'[i] = min{T[j] : C[j] = i, T[j] != i}, else C[i] --
-    # each hooking vertex j offers T[j] to the supervertex C[j], so the
-    # n x n member mask is one scatter-min over the k*n labels (an
-    # offer of inf changes nothing)
-    hooked = np.full(k * n, inf, dtype=D.dtype)
-    offers = T != C
-    rows = np.arange(k).reshape(k, 1) * n
-    np.minimum.at(hooked, (rows + C)[offers], T[offers])
-    hooked = hooked.reshape(k, n)
-    np.copyto(hooked, C, where=hooked == inf)
-
-    # gens 9-11: pointer jumping on the distributed label column, then
-    # resolve mutual supernode pairs through column 1 (= hooked[c])
+    # gens 9-11: pointer jumping, then resolve mutual supernode pairs
+    # through column 1 (= hooked[c]).  Min-neighbour hooking admits no
+    # cycle longer than two, so jumping stops changing anything once
+    # every vertex reaches its pair; stopping at that no-op is exact.
     c = hooked
     for _ in range(jumps):
-        c = np.take_along_axis(c, c, axis=1)
-    resolved = np.minimum(c, np.take_along_axis(hooked, c, axis=1))
+        nxt = c[c]
+        if np.array_equal(nxt, c):
+            break
+        c = nxt
+    np.minimum(c, hooked[c], out=labels)
+    return hooked
 
-    D[:, :n, :] = hooked[:, :, None]
-    D[:, n, :] = hooked
-    D[:, :n, 0] = resolved
+
+def _cross_pairs(
+    labels: np.ndarray, adjacent: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Global ids ``u < v`` of the edges whose endpoints' labels differ."""
+    B, n, _ = adjacent.shape
+    # compare local labels in the narrowest dtype: the (B, n, n)
+    # broadcast compare is the bulk of this pass, and uint8 runs it
+    # about 7x faster than intp at n = 256
+    local = labels.reshape(B, n) - (np.arange(B) * n)[:, None]
+    local = local.astype(np.min_scalar_type(n - 1))
+    cross = np.not_equal(local[:, :, None], local[:, None, :])
+    cross &= adjacent
+    vertex = np.arange(n)
+    cross &= vertex[:, None] < vertex  # i < j
+    u, j = np.divmod(np.flatnonzero(cross), n)  # u = slot*n + i
+    return u, u - u % n + j
 
 
 def connected_components_batch(

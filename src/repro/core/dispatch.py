@@ -17,10 +17,12 @@ The paper's field pays ``Theta(n^2)`` cells for every one of its
 ``1 + log n (3 log n + 8)`` generations, while contraction pays
 ``O(n + m)`` per level on a shrinking problem.  Measured on a 2-core
 host (EXPERIMENTS.md, E28), contracting beat every dense engine at
-least 5x on edge-list input.  On dense adjacency input it was the
-fastest engine except on near-complete graphs at ``n >= 512``, where
-the ``batched`` field led by 1.1-1.8x.  ``vectorized`` runs the same
-fused field kernel at a batch of one (E30).  The dense engines stay
+least 5x on edge-list input.  On dense adjacency input the ``batched``
+field, which works only on the edges still crossing two labels, leads
+at ``p = 1`` from ``n = 64`` and at ``p = 0.5`` from ``n = 128``
+(1.4-15x, E37); at ``p = 0.01`` contracting still leads by 1.2-1.5x.
+No rule routes adjacency input by density yet.  ``vectorized`` runs the same fused field kernel at a
+batch of one (E30).  The dense engines stay
 selectable by name as the reproduction of the paper's architecture (and
 ``batched`` as the field path for many same-size graphs); ``edgelist``
 and ``parallel`` stay selectable by name too (E26).

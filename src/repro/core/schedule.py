@@ -10,6 +10,7 @@ Table 2 bench reproduces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -142,6 +143,10 @@ def generations_per_step(n: int) -> Dict[int, int]:
     return {1: 1, 2: 3 + log, 3: 3 + log, 4: 1, 5: jumps, 6: 1}
 
 
+# typed: a bool must still fail check_positive after 1 is cached; every
+# BatchedResult.generations_run() call asks, and building the Table 2
+# dict cost more than the rest of that call
+@functools.lru_cache(maxsize=64, typed=True)
 def generations_per_iteration(n: int) -> int:
     """Generations in one outer iteration: ``3 log(n) + 8``."""
     per_step = generations_per_step(n)

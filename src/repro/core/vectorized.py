@@ -10,18 +10,22 @@ vectorised ``D`` cell for cell.
 This module is the readable per-generation reference: one function per
 generation number, each returning a fresh field.  The fast path is not
 here.  :func:`run_vectorized` runs the one fused kernel,
-:class:`repro.core.batched.BatchedGCA`, on a batch of one graph; only
+:class:`repro.core.batched.BatchedGCA`, on a batch of one graph; it
+computes each outer iteration from the label column and the edges that
+still cross two labels, and never materialises the field.  Only
 ``record_access=True`` runs (the Table 1/2 measurement paths) step
 through :func:`apply_generation` one generation at a time.
 
-The runner can also stop early: every outer iteration is a deterministic
-function of the label column ``D[:n, 0]`` alone (generation 1 rebroadcasts
-it over the whole field), so an iteration that leaves the labels unchanged
-has reached a fixed point and all remaining iterations are no-ops.  With
-``early_exit=True`` the runner detects this and stops, recording
-``converged_at_iteration`` -- the same early stabilisation that label
-propagation algorithms exploit (Liu & Tarjan 2019; Burkhardt 2018).  The
-default remains the paper's full ``ceil(log2 n)`` schedule so the
+Every outer iteration is a deterministic function of the label column
+``D[:n, 0]`` alone (generation 1 rebroadcasts it over the whole field),
+so an iteration that leaves the labels unchanged has reached a fixed
+point and all remaining iterations are no-ops -- the same early
+stabilisation that label propagation algorithms exploit (Liu & Tarjan
+2019; Burkhardt 2018).  The fused kernel does no work past that point
+either way; ``early_exit=True`` makes the runner *report* the stop
+(``iterations``, ``total_generations`` and ``converged_at_iteration``),
+and makes the per-generation ``record_access`` loop actually stop there.
+The default reports the paper's full ``ceil(log2 n)`` schedule so the
 Table 1/2 measurement paths are unchanged.
 
 Besides the data transformation the module can compute, per generation,
@@ -213,10 +217,12 @@ def run_vectorized(
         cells, reads per cell).  This runs the per-generation reference
         loop over :func:`apply_generation` instead of the fused kernel.
     early_exit:
-        Stop as soon as an outer iteration leaves the label column
-        unchanged (a fixed point of the iteration map).  The labels are
-        bit-identical to the full run; only the generation count shrinks.
-        Off by default so the measurement paths execute the paper's exact
+        Count the run as stopping at the first outer iteration that
+        leaves the label column unchanged (a fixed point of the
+        iteration map).  The labels are bit-identical to the full run;
+        only the reported iteration and generation counts shrink (and,
+        with ``record_access``, the generations the log records).  Off
+        by default so the measurement paths report the paper's exact
         schedule.
     """
     if record_access:

@@ -6,8 +6,8 @@ own flushes from the planner) run them directly via
 :func:`solve_coalesced` / :func:`solve_solo`.  No serialisation, no
 process boundary: every thread reads the request's arrays in place.
 
-:func:`solve_dense_stack` runs same-bucket dense graphs as one stacked
-:class:`~repro.core.batched.BatchedGCA` field.  The serve planner no
+:func:`solve_dense_stack` runs same-bucket dense graphs as one
+:class:`~repro.core.batched.BatchedGCA` batch.  The serve planner no
 longer ships it (coalesced contracting was as fast, within host noise,
 or faster: EXPERIMENTS.md, E28); it stays because
 ``perfbench/serve_wire.py`` still wraps it.  A stack may be

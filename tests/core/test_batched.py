@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import batched
 from repro.core.batched import (
     BatchedGCA,
     BatchedResult,
@@ -27,7 +28,8 @@ from repro.graphs.generators import (
     path_graph,
     random_graph,
 )
-from repro.util.intmath import jump_iterations, outer_iterations
+from repro.serve.workers import pad_matrix, solve_dense_stack
+from repro.util.intmath import outer_iterations
 from tests.conftest import CORPUS, adjacency_matrices
 
 
@@ -79,29 +81,54 @@ def _mixed_batch(n):
 
 class TestFusedKernel:
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 12, 16, 33])
-    def test_field_equals_reference_generations(self, n):
-        """One ``_apply_iteration`` call leaves every graph's whole field
-        equal to generations 1-11 of the per-generation
-        ``apply_generation``, in a batch that mixes graph families."""
+    def test_field_equals_reference_generations(self, n, monkeypatch):
+        """After every iteration, the field rebuilt from ``run``'s hook and
+        label columns equals generations 1-11 of the per-generation
+        ``apply_generation`` cell for cell, in a batch that mixes graph
+        families.  Iterations that ``run`` skips (no cross pair left in
+        the batch) must be fixed points: there the field rebuilt from the
+        final labels, with ``hooked = labels``, must match."""
         graphs = _mixed_batch(n)
         layout = FieldLayout(n)
         As = [g.matrix.astype(np.int64) for g in graphs]
+        calls = []  # (matrix path?, labels after, hooked) per iteration
+
+        def spy(labels, u, v, jumps, adjacent=None):
+            hooked = _apply_iteration(labels, u, v, jumps, adjacent=adjacent)
+            calls.append((adjacent is not None, labels.copy(), hooked.copy()))
+            return hooked
+
+        monkeypatch.setattr(batched, "_apply_iteration", spy)
+        res = BatchedGCA(graphs, early_exit=False).run()
+        # iteration 0 reads the matrix, later ones the cross pairs; the
+        # G(n, 2/n) member still has pairs after iteration 0 at these n
+        assert calls[0][0] and not any(first for first, _, _ in calls[1:])
+        if n in (5, 8, 12, 16, 33):
+            assert len(calls) > 1
+
         schedule = full_schedule(n)
         start = apply_generation(schedule[0], np.zeros((n + 1, n), np.int64),
                                  As[0], layout)
         refs = [start] * len(graphs)
-        field = np.stack(refs).astype(BatchedGCA(graphs)._dtype)
-        adjacent = np.stack(As) == 1
-        mask = np.empty(adjacent.shape, dtype=bool)
         for it in range(outer_iterations(n)):
             for sched in schedule:
                 if sched.iteration == it:
                     refs = [apply_generation(sched, D, A, layout)
                             for D, A in zip(refs, As)]
-            _apply_iteration(field, adjacent, mask, n, layout.infinity,
-                             jump_iterations(n))
+            if it < len(calls):
+                _, labels, hooked = calls[it]
+            else:
+                labels = hooked = res.labels.reshape(-1) + np.repeat(
+                    np.arange(len(graphs)) * n, n)
             for slot, D in enumerate(refs):
-                assert np.array_equal(field[slot], D), f"iteration {it}"
+                block = slice(slot * n, (slot + 1) * n)
+                field = np.empty((n + 1, n), dtype=np.int64)
+                field[:n, :] = (hooked[block] - slot * n)[:, None]
+                field[n, :] = hooked[block] - slot * n
+                field[:n, 0] = labels[block] - slot * n
+                assert np.array_equal(field, D), f"iteration {it}"
+        for slot, D in enumerate(refs):
+            assert np.array_equal(res.labels[slot], D[:n, 0])
 
     @given(
         st.integers(min_value=2, max_value=14).flatmap(
@@ -121,6 +148,76 @@ class TestFusedKernel:
             assert np.array_equal(res.labels[slot], ref.labels)
             assert res.iterations_run[slot] == ref.iterations
             assert res.converged_at_iteration[slot] == converged
+
+
+def _reference(graph, iterations, early_exit):
+    """Labels and counts of the per-generation reference loop."""
+    ref = run_vectorized(graph, iterations=iterations, early_exit=early_exit,
+                         record_access=True)
+    converged = (-1 if ref.converged_at_iteration is None
+                 else ref.converged_at_iteration)
+    return ref.labels, ref.iterations, converged
+
+
+def _shuffled_path(n, rng):
+    order = rng.permutation(n)
+    return from_edges(n, zip(order[:-1].tolist(), order[1:].tolist()))
+
+
+@st.composite
+def _staggered_batches(draw, max_n=20):
+    """A batch of G(n, p), p in {0, 2/n, 0.5, 1}, plus an edgeless graph
+    (fixed point at iteration 0) and a shuffled path (a later one), so
+    its graphs converge at different iterations."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ps = draw(st.lists(st.sampled_from([0.0, 2.0 / n, 0.5, 1.0]),
+                       min_size=0, max_size=3))
+    graphs = [random_graph(n, p, seed=rng) for p in ps]
+    graphs += [empty_graph(n), _shuffled_path(n, rng)]
+    order = draw(st.permutations(range(len(graphs))))
+    return [graphs[k] for k in order]
+
+
+class TestReferenceEquivalence:
+    @given(
+        _staggered_batches(),
+        st.sampled_from([None, 0, 1, 2]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_generation_reference(self, graphs, iterations,
+                                              early_exit):
+        """Labels, ``iterations_run`` and ``converged_at_iteration`` equal
+        the per-generation reference's for every graph of the batch."""
+        res = BatchedGCA(graphs, iterations=iterations,
+                         early_exit=early_exit).run()
+        for slot, g in enumerate(graphs):
+            labels, ran, converged = _reference(g, iterations, early_exit)
+            assert np.array_equal(res.labels[slot], labels)
+            assert res.iterations_run[slot] == ran
+            assert res.converged_at_iteration[slot] == converged
+
+    @given(
+        st.integers(min_value=2, max_value=16).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(adjacency_matrices(min_n=1, max_n=size),
+                         min_size=1, max_size=4),
+            )
+        ),
+        st.sampled_from([None, 0, 1, 2]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_padded_stack_matches_reference(self, bucket, iterations):
+        """A padded stack through ``solve_dense_stack`` labels each graph
+        as the reference labels the padded matrix, sliced to its n."""
+        size, graphs = bucket
+        mats = [g.matrix for g in graphs]
+        got = solve_dense_stack(mats, size, iterations=iterations)
+        for m, labels in zip(mats, got):
+            ref, _, _ = _reference(pad_matrix(m, size), iterations, True)
+            assert np.array_equal(labels, ref[: m.shape[0]])
 
 
 class TestConvergenceAccounting:
@@ -189,8 +286,8 @@ class TestResultShape:
         assert res.component_counts.dtype == np.int64
 
     def test_run_is_repeatable(self):
-        """Retirement compacts run-local buffers, so a second ``run``
-        on the same engine gives the same result."""
+        """A run keeps its buffers local, so a second ``run`` on the
+        same engine gives the same result."""
         graphs = [empty_graph(9), path_graph(9), random_graph(9, 0.3, seed=2)]
         engine = BatchedGCA(graphs)
         first, second = engine.run(), engine.run()
@@ -198,7 +295,8 @@ class TestResultShape:
         assert np.array_equal(first.iterations_run, second.iterations_run)
 
     def test_batch_order_preserved(self):
-        """Retirement compaction must not permute output slots."""
+        """Graphs that converge at different iterations keep their
+        output slots."""
         graphs = [empty_graph(10), path_graph(10), complete_graph(10),
                   random_graph(10, 0.15, seed=4)]
         res = BatchedGCA(graphs).run()
@@ -224,10 +322,6 @@ class TestValidation:
 
 
 class TestDtypeSelection:
-    def test_int32_for_small_n(self):
-        eng = BatchedGCA([path_graph(8)])
-        assert eng._dtype == np.int32
-
     def test_labels_always_int64(self):
         res = BatchedGCA([path_graph(8)]).run()
         assert res.labels.dtype == np.int64

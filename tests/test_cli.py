@@ -240,6 +240,7 @@ class TestServeBench:
         payload = json.loads(target.read_text())
         assert payload["bench"]["ok"] == 10
         assert payload["bench"]["count"] == 10
+        assert payload["bench"]["label_mismatches"] == 0
         assert payload["counters"]["completed"] == 10
         assert "latency" in payload
 
@@ -249,6 +250,25 @@ class TestServeBench:
                      "--concurrency", "2"]) == 0
         out = capsys.readouterr().out
         assert "served 10/10 ok" in out
+
+    def test_wrong_labels_fail_in_process(self, tmp_path, capsys,
+                                          monkeypatch):
+        """In-process responses are checked against the oracle: wrong
+        labels count as mismatches and fail the run, even with
+        ``--allow-failures``."""
+        import json
+
+        from repro.serve import loadgen
+
+        monkeypatch.setattr(loadgen, "oracle_labels",
+                            lambda graph: np.full(graph.n, -1))
+        target = tmp_path / "serve.json"
+        assert main(["serve-bench", "--count", "6", "--sizes", "8",
+                     "--concurrency", "2", "--allow-failures",
+                     "--json", str(target)]) == 1
+        bench = json.loads(target.read_text())["bench"]
+        assert bench["label_mismatches"] == 6 and bench["ok"] == 0
+        assert "diverged from the oracle" in capsys.readouterr().err
 
     def test_failures_gate_exit_code(self, capsys, monkeypatch):
         # an impossible deadline with --allow-failures still exits 0;
