@@ -16,7 +16,10 @@ graphs) on four execution strategies:
 
 Every mode's labels are verified against the union-find oracle, and the
 batched labels are additionally required to be bit-identical to the
-single-engine labels.  The numbers are written as machine-readable JSON
+single-engine labels.  ``--smoke`` also cross-checks the labels of one
+batch on each side of the density line (``BatchedGCA`` starts p = 0.2
+on the grid and p = 0.01 from the pairs at ``n = 64``).  The numbers are
+written as machine-readable JSON
 (``BENCH_engine.json`` at the repo root when run as a script); see
 EXPERIMENTS.md ("Engines & performance") for how to read it.
 
@@ -50,6 +53,7 @@ from repro.core.batched import BatchedGCA
 from repro.core.vectorized import run_vectorized
 from repro.graphs.components import canonical_labels
 from repro.graphs.generators import random_graph
+from repro.util.validation import sparse_keys
 
 #: Modes reported by :func:`run_modes`, in report order.
 MODES = ("single", "single_early", "batched", "batched_early")
@@ -73,11 +77,8 @@ def _time_best(fn, repeats: int) -> float:
     return best
 
 
-def run_modes(n: int, batch: int, p: float, repeats: int = 3) -> List[dict]:
-    """Time every mode on one shared workload; oracle-verify all labels."""
-    graphs, oracles = _build_instances(n, batch, p)
-
-    # correctness first: single-engine labels are the cross-check baseline
+def cross_check(graphs, oracles) -> None:
+    """Every mode's labels equal the oracle's, and batched equals single."""
     single_labels = [run_vectorized(g).labels for g in graphs]
     for labels, oracle in zip(single_labels, oracles):
         assert np.array_equal(labels, oracle), "single engine diverged"
@@ -91,6 +92,28 @@ def run_modes(n: int, batch: int, p: float, repeats: int = 3) -> List[dict]:
                 f"batched (early_exit={early}) diverged at slot {slot}"
             )
             assert np.array_equal(res.labels[slot], single_labels[slot])
+
+
+def check_both_starts(n: int = 64, batch: int = 16) -> None:
+    """Cross-check a batch on each side of the density line (n^2/48
+    nonzeros): at p = 0.2 ``BatchedGCA`` starts on the grid, at p = 0.01
+    from the pairs."""
+    for p, pairs in ((0.2, False), (0.01, True)):
+        graphs, oracles = _build_instances(n, batch, p)
+        sparse = [sparse_keys(g.matrix != 0) is not None for g in graphs]
+        if all(sparse) != pairs:
+            raise AssertionError(
+                f"p={p} batch does not start on the "
+                f"{'pairs' if pairs else 'grid'}"
+            )
+        cross_check(graphs, oracles)
+
+
+def run_modes(n: int, batch: int, p: float, repeats: int = 3) -> List[dict]:
+    """Time every mode on one shared workload; oracle-verify all labels."""
+    graphs, oracles = _build_instances(n, batch, p)
+    # correctness first: single-engine labels are the cross-check baseline
+    cross_check(graphs, oracles)
 
     timings = {
         "single": lambda: [run_vectorized(g) for g in graphs],
@@ -190,6 +213,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     json.loads(args.out.read_text())  # round-trip sanity
 
     if args.smoke:
+        check_both_starts()
+        print("smoke ok: labels cross-checked on the grid and pair starts")
         rate = {r["mode"]: r["graphs_per_sec"] for r in doc["results"]}
         if rate["batched"] < rate["single"]:
             print("error: batched slower than single-graph loop",
@@ -213,6 +238,9 @@ class TestEngineThroughput:
         path = RESULTS_DIR / "engine_throughput.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         assert json.loads(path.read_text())["benchmark"] == "engine_throughput"
+
+    def test_both_starts(self):
+        check_both_starts()
 
     def test_validate_rejects_malformed(self):
         doc = build_report(n=8, batch=4, p=0.2, repeats=1)

@@ -15,8 +15,7 @@ join two different labels (the cross pairs) -- the form of a round in
 Liu and Tarjan's ALTER step and in Burkhardt's label propagation:
 
 * iteration 0 starts from the identity labels, so generations 1-8
-  reduce to each row's first neighbour, one ``argmax`` over the
-  stacked adjacency;
+  reduce to each row's first neighbour;
 * every later iteration does generations 1-8 as two scatter-mins of
   the partners' labels onto the endpoints' supervertices;
 * generations 9-11 are pointer jumps on the column, stopped at the
@@ -28,12 +27,29 @@ The field the 11 generations leave is ``D[:n, :] = hooked[:, None]``,
 column of generations 5-8 that :func:`_apply_iteration` returns; the run
 never materialises it.
 
-After iteration 0 reads the adjacency once more for the cross pairs,
-each iteration drops the pairs whose labels now agree, for good (equal
-labels stay equal).  A graph is at its fixed point exactly when it has
-no cross pair left, so an iteration that leaves its labels unchanged is
-the one that starts without any; past that point no pair of that graph
-is left to process.
+:class:`BatchedGCA` reads each input matrix once: it writes ``A != 0``
+into its slot of a ``(B, n, n)`` bool stack and checks it there with
+:func:`repro.util.validation.check_adjacency_into`, the rule
+:class:`~repro.graphs.adjacency.AdjacencyMatrix` applies too (an
+``AdjacencyMatrix`` input is not checked again).  A graph with at most
+``n^2 / SPARSE_DIVISOR`` nonzeros (``repro.util.validation``; 48) is
+checked on its nonzeros' flat keys, which the run can start from.  So
+iteration 0 has two starts, with the same result:
+
+* **pairs**, when every graph of the batch is sparse: the keys, sorted
+  by row, are the directed edges; each row's first key is its first
+  neighbour, and the keys with ``i < j`` whose labels differ after
+  iteration 0 are the cross pairs;
+* **grid**, otherwise: ``argmax`` over the stack gives the first
+  neighbours, and one ``(C[i] != C[j]) & A & (i < j)`` mask over the
+  stack the cross pairs.  Above about 2% nonzeros in a batch of 16
+  this beats finding the keys graph by graph (EXPERIMENTS.md E38).
+
+From there each iteration drops the pairs whose labels now agree, for
+good (equal labels stay equal).  A graph is at its fixed point exactly
+when it has no cross pair left, so an iteration that leaves its labels
+unchanged is the one that starts without any; past that point no pair
+of that graph is left to process.
 ``early_exit`` only decides what the counts report: with it, each graph
 reports the iterations up to and including that no-op one; without it,
 every graph reports the full schedule.  The labels are the same.
@@ -62,14 +78,26 @@ import numpy as np
 from repro.core.schedule import generations_per_iteration
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.util.intmath import jump_iterations, outer_iterations
+from repro.util.validation import (
+    check_adjacency_into,
+    check_square,
+    sparse_keys,
+)
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
+_NAME = "adjacency matrix"  # the name AdjacencyMatrix validates under
 
-def _as_matrix(graph: GraphLike) -> np.ndarray:
+
+def _as_square(graph: GraphLike) -> Union[AdjacencyMatrix, np.ndarray]:
+    """``graph`` itself if it is validated, else as a square array."""
     if isinstance(graph, AdjacencyMatrix):
-        return graph.matrix
-    return AdjacencyMatrix(np.asarray(graph)).matrix
+        return graph
+    return check_square(_NAME, np.asarray(graph))
+
+
+def _order(graph: Union[AdjacencyMatrix, np.ndarray]) -> int:
+    return graph.n if isinstance(graph, AdjacencyMatrix) else graph.shape[0]
 
 
 @dataclass
@@ -140,23 +168,42 @@ class BatchedGCA:
         iterations: Optional[int] = None,
         early_exit: bool = True,
     ):
-        mats = [_as_matrix(g) for g in graphs]
-        if not mats:
+        graphs = list(graphs)
+        if not graphs:
             raise ValueError("BatchedGCA needs at least one graph")
-        n = mats[0].shape[0]
-        for k, m in enumerate(mats):
-            if m.shape[0] != n:
-                raise ValueError(
-                    f"graph {k} has n={m.shape[0]}, batch has n={n}; "
-                    "use connected_components_batch for mixed sizes"
-                )
+        try:
+            mats = [_as_square(g) for g in graphs]
+        except ValueError:
+            mats = None
+        if mats is None or len({_order(m) for m in mats}) > 1:
+            _raise_first_fault(graphs)
+        n = _order(mats[0])
+        B = len(mats)
+        # one pass over each matrix: validate it into its slot of the
+        # bool stack; a sparse one also yields its nonzeros' flat keys
+        adjacent = np.empty((B, n, n), dtype=np.bool_)
+        keys: Optional[List[np.ndarray]] = []
+        for slot, m in enumerate(mats):
+            if isinstance(m, AdjacencyMatrix):  # checked already
+                np.copyto(adjacent[slot], m.matrix.view(np.bool_))
+                k = None if keys is None else sparse_keys(adjacent[slot])
+            else:
+                k = check_adjacency_into(_NAME, m, adjacent[slot])
+            if keys is not None and k is not None:
+                keys.append(k + slot * n * n)
+            else:
+                keys = None
         self.n = n
-        self.batch_size = len(mats)
+        self.batch_size = B
         self.iterations = outer_iterations(n) if iterations is None else iterations
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         self.early_exit = early_exit
-        self._matrices = mats
+        adjacent.reshape(B, n * n)[:, :: n + 1] = False  # no self-loops
+        self._adjacent = adjacent
+        # every graph sparse: the sorted flat keys slot*n*n + i*n + j of
+        # the batch's nonzeros (diagonal included)
+        self._keys = None if keys is None else np.concatenate(keys)
 
     # ------------------------------------------------------------------
     def run(self) -> BatchedResult:
@@ -176,12 +223,16 @@ class BatchedGCA:
             )
         jumps = jump_iterations(n)
 
-        # the matrices are validated 0/1 int8, so a bool view is exact
-        adjacent = np.stack([m.view(np.bool_) for m in self._matrices])
         labels = np.arange(B * n, dtype=np.intp)  # global ids slot*n + v
+        if self._keys is None:
+            edges = None
+            live = self._adjacent.reshape(B, -1).any(axis=1)
+        else:
+            edges = _edge_pairs(self._keys, n)
+            live = np.zeros(B, dtype=bool)
+            live[edges[0] // n] = True
         # graphs with a cross pair at the start of the current iteration:
         # at iteration 0 every edge crosses
-        live = adjacent.reshape(B, -1).any(axis=1)
         was_live = np.ones(B, dtype=bool)
         u = v = None
 
@@ -194,12 +245,19 @@ class BatchedGCA:
             if not live.any():
                 break
             was_live = live
-            if it == 0:
-                _apply_iteration(labels, None, None, jumps, adjacent=adjacent)
-                u, v = _cross_pairs(labels, adjacent)
-            else:
+            if it > 0:
                 _apply_iteration(labels, u, v, jumps)
                 crossing = labels[u] != labels[v]
+                u, v = u[crossing], v[crossing]
+            elif edges is None:
+                _apply_iteration(labels, None, None, jumps,
+                                 first=_first_neighbours(self._adjacent))
+                u, v = _cross_pairs(labels, self._adjacent)
+            else:
+                u, v = edges
+                _apply_iteration(labels, None, None, jumps,
+                                 first=_first_partners(u, v, B * n))
+                crossing = (u < v) & (labels[u] != labels[v])
                 u, v = u[crossing], v[crossing]
             live = np.zeros(B, dtype=bool)
             live[u // n] = True
@@ -216,29 +274,39 @@ class BatchedGCA:
         )
 
 
+def _raise_first_fault(graphs: List[GraphLike]) -> None:
+    """Raise the error that checking ``graphs`` one by one, then their
+    sizes, meets first."""
+    mats = [g if isinstance(g, AdjacencyMatrix) else AdjacencyMatrix(g)
+            for g in graphs]
+    for k, m in enumerate(mats):
+        if m.n != mats[0].n:
+            raise ValueError(
+                f"graph {k} has n={m.n}, batch has n={mats[0].n}; "
+                "use connected_components_batch for mixed sizes"
+            )
+
+
 def _apply_iteration(
     labels: np.ndarray,
     u: Optional[np.ndarray],
     v: Optional[np.ndarray],
     jumps: int,
-    adjacent: Optional[np.ndarray] = None,
+    first: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One outer iteration (generations 1-11) on the batch's label column.
 
     ``labels`` is the ``(B*n,)`` column of global ids, a star forest
     (every label is a root, ``labels[labels] == labels``); it is
     rewritten in place.  ``u < v`` are the cross pairs, the edges whose
-    endpoints carry different labels.  On iteration 0 pass the ``(B, n,
-    n)`` bool ``adjacent`` instead (and ``None`` pairs): the labels are
-    the identity there, so generations 1-8 reduce to each row's first
-    neighbour.  Returns ``hooked``, the column generations 5-8 leave,
-    which generation 9 distributes over the field.
+    endpoints carry different labels.  On iteration 0 pass ``first``,
+    each vertex's first neighbour (itself if isolated), instead (and
+    ``None`` pairs): the labels are the identity there, so generations
+    1-8 reduce to it.  Returns ``hooked``, the column generations 5-8
+    leave, which generation 9 distributes over the field.
     """
-    if adjacent is not None:
-        n = adjacent.shape[2]
-        first = adjacent.argmax(axis=2).reshape(-1)  # local, 0 if isolated
-        has = adjacent.reshape(-1)[labels * n + first]
-        hooked = np.where(has, labels - labels % n + first, labels)
+    if first is not None:
+        hooked = first
     else:
         # gens 1-8: T'[s] = min{C[j] : (i, j) crosses, C[i] = s}, else
         # C[s] -- each cross pair offers each endpoint's root the other's
@@ -282,6 +350,39 @@ def _cross_pairs(
     return u, u - u % n + j
 
 
+def _first_neighbours(adjacent: np.ndarray) -> np.ndarray:
+    """Global id of each row's first neighbour in the ``(B, n, n)`` bool
+    stack, the row's own id if it is isolated."""
+    B, n, _ = adjacent.shape
+    vertex = np.arange(B * n)
+    first = adjacent.argmax(axis=2).reshape(-1)  # local, 0 if isolated
+    has = adjacent.reshape(-1)[vertex * n + first]
+    return np.where(has, vertex - vertex % n + first, vertex)
+
+
+def _edge_pairs(keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Global endpoints ``(u, v)`` of the flat keys ``slot*n*n + i*n + j``,
+    in key order, self-loops dropped."""
+    u, j = np.divmod(keys, n)  # u = slot*n + i
+    i = u % n
+    loop = i == j
+    if loop.any():
+        keep = ~loop
+        u, i, j = u[keep], i[keep], j[keep]
+    return u, u - i + j
+
+
+def _first_partners(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """Each vertex's first neighbour from the row-sorted pairs ``(u, v)``,
+    the vertex itself if it has none: ``argmax`` of its adjacency row."""
+    first = np.arange(size)
+    head = np.empty(u.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(u[1:], u[:-1], out=head[1:])
+    first[u[head]] = v[head]
+    return first
+
+
 def connected_components_batch(
     graphs: Sequence[GraphLike],
     iterations: Optional[int] = None,
@@ -292,10 +393,13 @@ def connected_components_batch(
     Buckets ``graphs`` by node count, runs one :class:`BatchedGCA` per
     bucket and returns the canonical label vectors in input order.
     """
-    mats = [_as_matrix(g) for g in graphs]
+    # validated once, in input order, as AdjacencyMatrix: BatchedGCA
+    # takes those without checking them again
+    mats = [g if isinstance(g, AdjacencyMatrix) else AdjacencyMatrix(g)
+            for g in graphs]
     buckets: Dict[int, List[int]] = {}
     for pos, m in enumerate(mats):
-        buckets.setdefault(m.shape[0], []).append(pos)
+        buckets.setdefault(m.n, []).append(pos)
     out: List[Optional[np.ndarray]] = [None] * len(mats)
     for _, positions in sorted(buckets.items()):
         result = BatchedGCA(

@@ -6,7 +6,7 @@ helpers so error messages are consistent and tests can assert on them.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -43,6 +43,14 @@ def check_square(name: str, matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+#: The density line of the adjacency check: a matrix with at most
+#: ``n * n / SPARSE_DIVISOR`` nonzeros is checked through its nonzeros,
+#: and a batch of such graphs runs on pairs from iteration 0
+#: (:mod:`repro.core.batched`).  EXPERIMENTS.md E38 has the measurement
+#: that set it.
+SPARSE_DIVISOR = 48
+
+
 def check_symmetric_binary(name: str, matrix: np.ndarray) -> np.ndarray:
     """Check that ``matrix`` is a square, symmetric, 0/1 adjacency matrix.
 
@@ -50,19 +58,67 @@ def check_symmetric_binary(name: str, matrix: np.ndarray) -> np.ndarray:
     fresh ``np.int8`` copy of the matrix.
     """
     matrix = check_square(name, matrix)
-    # an elementwise test, not np.unique: NumPy >= 2.3 hashes in unique,
-    # which dominates validating a large matrix; the sorted value list is
-    # only built for the error message
-    if not np.logical_or(matrix == 0, matrix == 1).all():
-        values = np.unique(matrix)
-        raise ValueError(
-            f"{name} must contain only 0/1 entries, found values {values[:10]}"
-        )
-    # 0/1 casts losslessly, and the transpose is cheaper to read as int8
-    out = matrix.astype(np.int8)
-    if not np.array_equal(out, out.T):
-        raise ValueError(f"{name} must be symmetric (undirected graph)")
+    out = np.empty(matrix.shape, dtype=np.int8)
+    check_adjacency_into(name, matrix, out.view(np.bool_))
     return out
+
+
+def check_adjacency_into(
+    name: str, matrix: np.ndarray, out: np.ndarray
+) -> Optional[np.ndarray]:
+    """Write ``matrix != 0`` into the bool ``out`` and check the matrix.
+
+    The one rule behind :func:`check_symmetric_binary` and
+    :class:`repro.core.batched.BatchedGCA`: the square ``matrix`` (its
+    diagonal included) must hold only 0/1 entries and be symmetric.  It
+    reads ``matrix`` once.  With at most ``n * n / SPARSE_DIVISOR``
+    nonzeros both tests run on the nonzeros' flat keys ``i * n + j``,
+    which are returned (sorted); a denser matrix is tested on all its
+    entries (an integer one by its ``min`` and ``max``) and by the bool
+    ``out == out.T`` compare, and ``None`` is returned.
+    """
+    if matrix.dtype.kind in "SU":  # text holds no 0/1 entries
+        _raise_not_binary(name, matrix)
+    np.not_equal(matrix, 0, out=out)
+    n = out.shape[0]
+    keys = sparse_keys(out)
+    if keys is not None:
+        i, j = np.divmod(keys, n)
+        binary = (matrix[i, j] == 1).all()
+    elif matrix.dtype.kind == "b":
+        binary = True
+    elif matrix.dtype.kind in "iu":
+        binary = matrix.min() >= 0 and matrix.max() <= 1
+    else:
+        binary = np.logical_or(matrix == 0, matrix == 1).all()
+    if not binary:
+        _raise_not_binary(name, matrix)
+    if keys is None:
+        symmetric = np.array_equal(out, out.T)
+    else:
+        symmetric = out[j, i].all()
+    if not symmetric:
+        raise ValueError(f"{name} must be symmetric (undirected graph)")
+    return keys
+
+
+def sparse_keys(adjacent: np.ndarray) -> Optional[np.ndarray]:
+    """Sorted flat keys ``i * n + j`` of the nonzeros of the square bool
+    ``adjacent`` if there are at most ``n * n / SPARSE_DIVISOR``, else
+    ``None``."""
+    n = adjacent.shape[0]
+    if SPARSE_DIVISOR * np.count_nonzero(adjacent) > n * n:
+        return None
+    return np.flatnonzero(adjacent)
+
+
+def _raise_not_binary(name: str, matrix: np.ndarray) -> None:
+    # the sorted value list is only built for the error message: np.unique
+    # hashes in NumPy >= 2.3, which would dominate a passing check
+    values = np.unique(matrix)
+    raise ValueError(
+        f"{name} must contain only 0/1 entries, found values {values[:10]}"
+    )
 
 
 def check_type(name: str, value: Any, expected: type) -> Any:

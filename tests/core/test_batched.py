@@ -20,6 +20,7 @@ from repro.core.schedule import (
     total_generations,
 )
 from repro.core.vectorized import apply_generation, run_vectorized
+from repro.graphs.adjacency import AdjacencyMatrix
 from repro.graphs.components import canonical_labels
 from repro.graphs.generators import (
     complete_graph,
@@ -29,6 +30,7 @@ from repro.graphs.generators import (
     random_graph,
 )
 from repro.serve.workers import pad_matrix, solve_dense_stack
+from repro.util import validation
 from repro.util.intmath import outer_iterations
 from tests.conftest import CORPUS, adjacency_matrices
 
@@ -87,21 +89,39 @@ class TestFusedKernel:
         ``apply_generation`` cell for cell, in a batch that mixes graph
         families.  Iterations that ``run`` skips (no cross pair left in
         the batch) must be fixed points: there the field rebuilt from the
-        final labels, with ``hooked = labels``, must match."""
-        graphs = _mixed_batch(n)
-        layout = FieldLayout(n)
-        As = [g.matrix.astype(np.int64) for g in graphs]
-        calls = []  # (matrix path?, labels after, hooked) per iteration
+        final labels, with ``hooked = labels``, must match.  The batch
+        holds a complete graph, so it starts on the grid; every input
+        has ones on its diagonal, which the field ignores."""
+        self._field_matches_reference(n, "grid", monkeypatch)
 
-        def spy(labels, u, v, jumps, adjacent=None):
-            hooked = _apply_iteration(labels, u, v, jumps, adjacent=adjacent)
-            calls.append((adjacent is not None, labels.copy(), hooked.copy()))
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 12, 16, 33])
+    def test_field_from_pairs_equals_reference_generations(self, n,
+                                                           monkeypatch):
+        """The same batch, with the density line moved to n^2 nonzeros so
+        that it starts from its pairs."""
+        monkeypatch.setattr(validation, "SPARSE_DIVISOR", 1)
+        self._field_matches_reference(n, "pairs", monkeypatch)
+
+    @staticmethod
+    def _field_matches_reference(n, start, monkeypatch):
+        layout = FieldLayout(n)
+        As = [g.matrix.astype(np.int64) for g in _mixed_batch(n)]
+        # the inputs carry self-loops, valid input that must not hook
+        graphs = [A + np.eye(n, dtype=np.int64) for A in As]
+        calls = []  # (iteration 0?, labels after, hooked) per iteration
+
+        def spy(labels, u, v, jumps, first=None):
+            hooked = _apply_iteration(labels, u, v, jumps, first=first)
+            calls.append((first is not None, labels.copy(), hooked.copy()))
             return hooked
 
         monkeypatch.setattr(batched, "_apply_iteration", spy)
-        res = BatchedGCA(graphs, early_exit=False).run()
-        # iteration 0 reads the matrix, later ones the cross pairs; the
-        # G(n, 2/n) member still has pairs after iteration 0 at these n
+        engine = BatchedGCA(graphs, early_exit=False)
+        assert (engine._keys is None) == (start == "grid")
+        res = engine.run()
+        # iteration 0 hooks to the first neighbours, later ones read the
+        # cross pairs; the G(n, 2/n) member still has pairs after
+        # iteration 0 at these n
         assert calls[0][0] and not any(first for first, _, _ in calls[1:])
         if n in (5, 8, 12, 16, 33):
             assert len(calls) > 1
@@ -220,6 +240,211 @@ class TestReferenceEquivalence:
             assert np.array_equal(labels, ref[: m.shape[0]])
 
 
+def _sparse(matrix):
+    """Whether ``matrix`` sits on the pair side of the density line."""
+    return validation.sparse_keys(np.asarray(matrix) != 0) is not None
+
+
+def _matching(n, edges):
+    """``edges`` disjoint edges ``(2k, 2k+1)``, relabelled at random."""
+    order = np.random.default_rng(n + edges).permutation(n)
+    return from_edges(n, [(order[2 * k], order[2 * k + 1])
+                          for k in range(edges)])
+
+
+def _sparse_graphs(n):
+    """Graphs with at most n^2/48 nonzeros: edgeless, a matching, and
+    from n = 32 on G(n, 1/n) and a shuffled path, where they are sparse."""
+    rng = np.random.default_rng(n)
+    graphs = [empty_graph(n), _matching(n, min(n // 2, n * n // 96))]
+    if n >= 32:
+        graphs += [_shuffled_path(n, rng), random_graph(n, 1.0 / n, seed=n)]
+    return [g for g in graphs if _sparse(g.matrix)]
+
+
+def _dense_graphs(n):
+    """Graphs with more than n^2/48 nonzeros."""
+    graphs = [complete_graph(n), random_graph(n, 0.5, seed=n),
+              path_graph(n), random_graph(n, 0.2, seed=n + 1)]
+    return [g for g in graphs if not _sparse(g.matrix)]
+
+
+class TestBatchKinds:
+    """All-sparse batches start from their pairs, any dense member sends
+    the batch to the grid; both give the reference's labels and counts."""
+
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for kind in ("sparse", "dense", "mixed")
+        for n in (1, 2, 3, 8, 16, 31, 32, 64, 97)
+        if n > 1 or kind == "sparse"  # n = 1 has no edge to be dense
+    ])
+    @pytest.mark.parametrize("iterations", [None, 1])
+    @pytest.mark.parametrize("early_exit", [False, True])
+    def test_matches_reference(self, kind, n, iterations, early_exit):
+        sparse, dense = _sparse_graphs(n), _dense_graphs(n)
+        graphs = {"sparse": sparse, "dense": dense,
+                  "mixed": sparse + dense}[kind]
+        assert graphs and (kind != "mixed" or len(graphs) > len(sparse))
+        engine = BatchedGCA(graphs, iterations=iterations,
+                            early_exit=early_exit)
+        assert (engine._keys is not None) == (kind == "sparse")
+        res = engine.run()
+        for slot, g in enumerate(graphs):
+            ref = run_vectorized(g, iterations=iterations,
+                                 early_exit=early_exit, record_access=True)
+            converged = (-1 if ref.converged_at_iteration is None
+                         else ref.converged_at_iteration)
+            assert np.array_equal(res.labels[slot], ref.labels)
+            assert res.labels.dtype == np.int64
+            assert res.iterations_run[slot] == ref.iterations
+            assert res.converged_at_iteration[slot] == converged
+            assert res.generations_run()[slot] == ref.total_generations
+
+    def test_self_loops_do_not_hook(self):
+        """A 1 on the diagonal is valid input but no edge, on both starts."""
+        for n, sparse in ((16, True), (4, False)):
+            m = np.zeros((n, n), dtype=np.int64)
+            m[0, 0] = m[2, 2] = m[1, 2] = m[2, 1] = 1
+            assert _sparse(m) == sparse
+            res = BatchedGCA([m]).run()
+            expected = list(range(n))
+            expected[2] = 1
+            assert res.labels[0].tolist() == expected
+
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_padding_can_make_a_dense_graph_sparse(self, size):
+        """K_4 is dense at n = 4 but sparse padded to 32 or 64; the padded
+        stack labels it as the reference labels the padded matrix."""
+        k4 = complete_graph(4).matrix
+        assert not _sparse(k4) and _sparse(pad_matrix(k4, size))
+        mats = [k4, path_graph(3).matrix, np.zeros((5, 5), dtype=np.int8)]
+        for iterations in (None, 0, 1):
+            got = solve_dense_stack(mats, size, iterations=iterations)
+            for m, labels in zip(mats, got):
+                ref, _, _ = _reference(pad_matrix(m, size), iterations, True)
+                assert np.array_equal(labels, ref[: m.shape[0]])
+
+    def test_adjacency_matrices_are_not_checked_again(self, monkeypatch):
+        graphs = [path_graph(40), complete_graph(40)]
+
+        def fail(*args):
+            raise AssertionError("an AdjacencyMatrix was validated again")
+
+        monkeypatch.setattr(batched, "check_adjacency_into", fail)
+        for subset in (graphs[:1], graphs):
+            res = BatchedGCA(subset).run()
+            for slot, g in enumerate(subset):
+                assert np.array_equal(res.labels[slot], canonical_labels(g))
+
+    def test_front_end_checks_each_graph_once(self, monkeypatch):
+        """connected_components_batch validates each raw matrix once."""
+        graphs = [path_graph(n).matrix.astype(np.int64) for n in (5, 40, 5)]
+        calls = []
+        check = validation.check_adjacency_into
+
+        def counting(name, matrix, out):
+            calls.append(matrix.shape)
+            return check(name, matrix, out)
+
+        monkeypatch.setattr(validation, "check_adjacency_into", counting)
+        monkeypatch.setattr(batched, "check_adjacency_into", counting)
+        labels = connected_components_batch(graphs)
+        assert sorted(calls) == [(5, 5), (5, 5), (40, 40)]
+        assert [l.tolist() for l in labels] == [[0] * 5, [0] * 40, [0] * 5]
+
+
+_FAULTS = ("asymmetric", 2, -1, 0.5, float("nan"), "diagonal")
+
+
+@st.composite
+def _faulty_matrices(draw):
+    """One fault injected into a valid graph on either side of the line."""
+    n = draw(st.integers(min_value=16, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # dense
+        graph = random_graph(n, draw(st.sampled_from([0.3, 0.6, 1.0])),
+                             seed=rng)
+    else:  # a matching sparse enough to stay so with the fault
+        edges = min(n // 2, (n * n // 48 - 2) // 2)
+        graph = _matching(n, draw(st.integers(0, edges)))
+    fault = draw(st.sampled_from(_FAULTS))
+    dtype = np.float64 if fault in (0.5, "diagonal") or fault != fault else (
+        draw(st.sampled_from([np.int64, np.int8, np.float64])))
+    m = graph.matrix.astype(dtype)
+    i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+    if fault == "asymmetric":
+        m[i, j] = 1 - m[i, j]
+    elif fault == "diagonal":
+        m[i, i] = draw(st.sampled_from([2.0, -1.0, 0.5, float("nan")]))
+    else:
+        m[i, j] = m[j, i] = fault
+    return m
+
+
+class TestErrorParity:
+    """BatchedGCA, connected_components_batch and AdjacencyMatrix reject
+    a faulty matrix with the same ValueError on both sides of the
+    density line."""
+
+    @staticmethod
+    def _message(fn):
+        with pytest.raises(ValueError) as err:
+            fn()
+        return str(err.value)
+
+    @given(_faulty_matrices())
+    @settings(max_examples=120, deadline=None)
+    def test_same_error_text(self, m):
+        n = m.shape[0]
+        expected = self._message(lambda: AdjacencyMatrix(m))
+        assert expected.startswith("adjacency matrix must ")
+        ok = np.zeros((n, n), dtype=np.int64)
+        for fn in (
+            lambda: BatchedGCA([m]),
+            lambda: BatchedGCA([ok, m, path_graph(n)]),
+            lambda: BatchedGCA(np.stack([ok, m])),
+            lambda: connected_components_batch([m]),
+            lambda: connected_components_batch([np.zeros((3, 3)), ok, m]),
+        ):
+            assert self._message(fn) == expected
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("fault", _FAULTS)
+    def test_each_fault_on_each_side(self, dense, fault):
+        """Every fault is met at least once on each side of the line."""
+        n = 32
+        m = (complete_graph(n) if dense else _matching(n, 4)).matrix
+        m = m.astype(np.float64)
+        if fault == "asymmetric":
+            m[0, 1] = 1 - m[0, 1]
+        elif fault == "diagonal":
+            m[3, 3] = 2
+        else:
+            m[0, 1] = m[1, 0] = fault
+        assert _sparse(m) != dense
+        expected = self._message(lambda: AdjacencyMatrix(m))
+        assert ("symmetric" in expected) == (fault == "asymmetric")
+        for fn in (lambda: BatchedGCA([m]),
+                   lambda: connected_components_batch([m])):
+            assert self._message(fn) == expected
+
+    def test_first_fault_in_input_order(self):
+        """With several faults the first graph's is reported, ahead of a
+        size mismatch or a later shape error."""
+        asym = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        two = np.array([[0, 2], [2, 0]])
+        for graphs, text in (
+            ([asym, two], "symmetric"),
+            ([two, asym], "0/1"),
+            ([np.zeros((3, 3)), np.zeros((2, 3))], "square"),
+            ([two, np.zeros((2, 3))], "0/1"),
+            ([np.zeros((3, 3)), two], "0/1"),
+            ([np.zeros((3, 3)), np.zeros((2, 2))], "graph 1 has n=2"),
+        ):
+            with pytest.raises(ValueError, match=text):
+                BatchedGCA(graphs)
+
+
 class TestConvergenceAccounting:
     def test_matches_single_engine_early_exit(self):
         graphs = [random_graph(16, p, seed=s)
@@ -336,10 +561,13 @@ class TestDegenerateInputs:
     """
 
     def test_batched_zero_node_graphs(self):
-        res = BatchedGCA([np.zeros((0, 0), dtype=np.int8)] * 3).run()
+        engine = BatchedGCA([np.zeros((0, 0), dtype=np.int8)] * 3)
+        assert engine._keys is not None  # no nonzeros: the pair start
+        res = engine.run()
         assert res.labels.shape == (3, 0)
         assert np.array_equal(res.generations_run(), np.zeros(3))
         assert np.array_equal(res.iterations_run, np.zeros(3))
+        assert np.array_equal(res.converged_at_iteration, [-1, -1, -1])
 
     def test_batch_front_end_zero_node_graphs(self):
         labels = connected_components_batch(
