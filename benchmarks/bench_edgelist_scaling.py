@@ -28,8 +28,8 @@ CASES = [
 
 def union_find_labels(g):
     uf = UnionFind(g.n)
-    half = g.src.size // 2
-    for u, v in zip(g.src[:half].tolist(), g.dst[:half].tolist()):
+    us, vs = g.pairs()
+    for u, v in zip(us.tolist(), vs.tolist()):
         uf.union(u, v)
     return uf.canonical_labels()
 

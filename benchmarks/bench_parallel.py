@@ -104,9 +104,8 @@ def run_point(point: Dict, seed: int = 0, repeats: int = 1,
     oracle_checked = n <= ORACLE_MAX_N
     if oracle_checked:
         uf = UnionFind(n)
-        half = graph.src.size // 2
-        for u, v in zip(graph.src[:half].tolist(),
-                        graph.dst[:half].tolist()):
+        us, vs = graph.pairs()
+        for u, v in zip(us.tolist(), vs.tolist()):
             uf.union(u, v)
         assert np.array_equal(oracle, uf.canonical_labels()), (
             f"contracting labels diverged from union-find at n={n}"

@@ -147,7 +147,8 @@ def _spec(count: int, seed: int) -> LoadSpec:
 def _oracle(graph) -> np.ndarray:
     if isinstance(graph, EdgeListGraph):
         uf = UnionFind(graph.n)
-        for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        us, vs = graph.pairs()
+        for u, v in zip(us.tolist(), vs.tolist()):
             uf.union(u, v)
         return uf.canonical_labels()
     return components_union_find(graph)

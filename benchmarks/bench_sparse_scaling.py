@@ -102,8 +102,8 @@ def run_point(n: int, m: int, seed: int = 0, repeats: int = 2) -> List[dict]:
         )
     if n <= ORACLE_MAX_N:
         uf = UnionFind(graph.n)
-        half = graph.src.size // 2
-        for u, v in zip(graph.src[:half].tolist(), graph.dst[:half].tolist()):
+        us, vs = graph.pairs()
+        for u, v in zip(us.tolist(), vs.tolist()):
             uf.union(u, v)
         assert np.array_equal(baseline, uf.canonical_labels()), (
             f"engines diverged from the union-find oracle at n={n}"

@@ -114,26 +114,27 @@ def _edge_set_sums(key: np.ndarray) -> Tuple[int, int]:
 
 
 def _constructor_canonical_keys(graph: "EdgeListGraph") -> "np.ndarray | None":
-    """Packed ``u * n + v`` keys when ``graph`` is in the form the
-    :class:`EdgeListGraph` constructors produce -- first half the sorted
-    duplicate-free ``u < v`` pairs, second half their exact mirror -- or
+    """Packed ``u * n + v`` keys when ``graph`` holds its edges in the
+    form the :class:`EdgeListGraph` constructors produce -- the sorted
+    duplicate-free ``u < v`` pairs, lows then highs, in ``src`` -- or
     ``None`` to fall back to full canonicalisation.
 
     Constructor-built graphs carry a ``_canonical`` stamp and are
-    trusted outright (the stamp travels only through the constructors).
-    Unstamped graphs are verified with a handful of O(m) vector
-    comparisons, cheaper than re-deriving the canonical set with an
-    O(m log m) sort-and-dedup.
+    trusted outright (the stamp travels only through the constructors);
+    their halves are read and the mirror is never built.  Unstamped
+    graphs are verified with a handful of O(m) vector comparisons
+    against the mirror they store, cheaper than re-deriving the
+    canonical set with an O(m log m) sort-and-dedup.
     """
     m = graph.src.size
     if m & 1 or graph.n > _PACK_LIMIT:
         return None
     half = m >> 1
-    u, v = graph.src[:half], graph.dst[:half]
+    u, v = graph.src[:half], graph.src[half:]
     if not graph.__dict__.get("_canonical", False):
         if not bool(np.all(u < v)):
             return None
-        if not (np.array_equal(graph.src[half:], v)
+        if not (np.array_equal(graph.dst[:half], v)
                 and np.array_equal(graph.dst[half:], u)):
             return None
         key = u * np.int64(graph.n) + v
@@ -153,9 +154,13 @@ def canonical_edge_pairs(graph: GraphInput) -> Tuple[int, np.ndarray, np.ndarray
     :class:`~repro.hirschberg.edgelist.EdgeListGraph` in any edge order
     and orientation.  Two inputs describe the same labelled graph iff
     their canonical triples are equal -- the ground truth the
-    fingerprint digests.
+    fingerprint digests.  A constructor-built edge list already holds
+    this set, so its pairs are returned as views of its ``src`` halves,
+    with no sort.
     """
     if isinstance(graph, EdgeListGraph):
+        if graph.__dict__.get("_canonical", False):
+            return (graph.n, *graph.pairs())  # already the answer
         lo, hi = _canonical_pairs(graph.n, graph.src, graph.dst)
         return graph.n, lo, hi
     mat = graph.matrix if isinstance(graph, AdjacencyMatrix) else np.asarray(graph)

@@ -408,9 +408,8 @@ def run_sparse_sweep(spec: SparseSweepSpec, jobs: int = 1) -> List[RunRecord]:
             if graph.n <= spec.oracle_max_n:
                 if idx not in oracles:
                     uf = UnionFind(graph.n)
-                    half = graph.src.size // 2
-                    for u, v in zip(graph.src[:half].tolist(),
-                                    graph.dst[:half].tolist()):
+                    us, vs = graph.pairs()
+                    for u, v in zip(us.tolist(), vs.tolist()):
                         uf.union(u, v)
                     oracles[idx] = uf.canonical_labels()
                 correct = bool(np.array_equal(labels, oracles[idx]))

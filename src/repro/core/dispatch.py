@@ -69,7 +69,9 @@ class CostModel:
     #: interpreter footprint per cell (a Python object per cell).
     interpreter_bytes_per_cell: float = 800.0
     #: in-RAM contracting engine: resident bytes per directed edge (edge
-    #: arrays plus sort/dedup temporaries, measured envelope)...
+    #: arrays plus sort/dedup temporaries, measured envelope; the traced
+    #: peak of ``from_arrays`` + ``auto`` above the input is 14-17 B,
+    #: E39)...
     sparse_bytes_per_edge: float = 80.0
     #: ...plus resident bytes per vertex (label/pointer arrays).
     sparse_bytes_per_node: float = 48.0

@@ -86,12 +86,11 @@ def dumps_edge_list_sparse(graph: EdgeListGraph) -> str:
     The output is interchangeable with :func:`dumps_edge_list`'s: header
     ``n``, then one canonical ``u v`` pair per line.
     """
-    half = graph.src.size // 2
+    u, v = graph.pairs()
     buf = _io.StringIO()
     buf.write(f"{graph.n}\n")
-    if half:
-        pairs = np.stack([graph.src[:half], graph.dst[:half]], axis=1)
-        np.savetxt(buf, pairs, fmt="%d")
+    if u.size:
+        np.savetxt(buf, np.stack([u, v], axis=1), fmt="%d")
     return buf.getvalue()
 
 

@@ -58,8 +58,9 @@ Streamed pass
 Once a giant component forms, both endpoints of almost every later
 edge already share a root.  Uncapped runs on ``m >= 3n`` undirected
 edges, ``m >= 2 * first`` for ``first = max(2**16, n // 4)``, that are
-not id-local therefore stream their pairs (the ``u < v`` half of a
-canonical graph, the ``src < dst`` entries otherwise) past a resident star
+not id-local therefore stream their pairs
+(:meth:`~repro.hirschberg.edgelist.EdgeListGraph.pairs`: the two halves
+of a canonical graph's ``src``, each edge once) past a resident star
 forest ``L`` (vertex -> minimum vertex of its component so far).  Each
 contiguous chunk of ``max(first, pairs done)`` pairs gathers ``L[u]``,
 ``L[v]`` and drops the pairs that agree (Afforest's filter); the
@@ -353,11 +354,5 @@ def connected_components_contracting(
         if isinstance(graph, EdgeListGraph)
         else EdgeListGraph.from_adjacency(graph)
     )
-    src, dst = g.src, g.dst
-    if getattr(g, "_canonical", False):
-        half = g.edge_count  # the sorted duplicate-free u < v pairs
-        return _solve_pairs(g.n, src[:half], dst[:half], max_levels)
-    # both orientations of every edge are present, so the u < v entries
-    # name each edge (duplicates kept) and leave the self-loops out
-    upper = src < dst
-    return _solve_pairs(g.n, src[upper], dst[upper], max_levels)
+    a, b = g.pairs()
+    return _solve_pairs(g.n, a, b, max_levels)

@@ -14,12 +14,15 @@ tests) -- so it also documents that the paper's mapping decisions
 *dense* target architecture, not of the algorithm.
 
 The constructors turn raw endpoint arrays (any orientation, self-loops
-and repeats allowed) into the canonical directed form in one packed
-int64 buffer: ``lo * n + hi`` is packed in place, sorted in place and
-unpacked by one ``divmod`` straight into the output.  Their peak memory
-above the input is the larger of the output (4 words per distinct pair)
-and about 2.1 words per raw pair; 10^6 nodes with 5*10^6 pairs
-canonicalise in about 0.3 s on a 2-core x86 host (E33).  The
+and repeats allowed) into the canonical form in one packed int64
+buffer: ``lo * n + hi`` is packed in place, sorted in place and
+unpacked by one ``divmod`` straight into the output, which holds each
+edge once (the mirrored orientation is built only for the engines that
+read it).  Their peak memory above the input is the larger of 3 words
+per distinct pair (the 2-word output while the distinct keys are
+unpacked into it) and about 2.1 words per raw pair; 10^6 nodes with
+5*10^6 pairs canonicalise in about 0.3 s on a 2-core x86 host (E33,
+E39).  The
 scatter-min iteration is timed against union-find up to 10^5 nodes in
 ``benchmarks/bench_edgelist_scaling.py``; at 10^6 nodes and beyond the
 contracting engine (:mod:`repro.hirschberg.contracting`) solves these
@@ -28,7 +31,7 @@ graphs level by level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -175,30 +178,22 @@ def _canonical_pairs(
     return _unpack_unique(n, _sorted_pair_keys(n, u, v))
 
 
-def _canonical_directed(
-    n: int, u: np.ndarray, v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(src, dst)`` of :class:`EdgeListGraph`: the canonical pairs of
-    the raw arrays followed by their mirror.
+def _canonical_src(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``src`` of a constructor-built :class:`EdgeListGraph`: the lows of
+    the canonical pairs of the raw arrays followed by their highs.
 
-    The distinct keys are unpacked straight into ``src``, whose halves
-    are then mirrored into ``dst``, so the peak above the input is the
-    output itself: no filtered copies, no ``lo``/``hi`` pair, no
-    concatenation.
+    The distinct keys are unpacked straight into the two halves of
+    ``src``, so the peak above the input is the output plus those keys:
+    no filtered copies, no ``lo``/``hi`` pair, no concatenation.
     """
     if n > _PACK_LIMIT:
-        lo, hi = _lexsorted_pairs(n, u, v)
-        return np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        return np.concatenate(_lexsorted_pairs(n, u, v))
     key = _sorted_pair_keys(n, u, v)
     key = key[_first_of_runs(key)]
     k = key.size
     src = np.empty(2 * k, dtype=np.int64)
     np.divmod(key, n, out=(src[:k], src[k:]))
-    del key
-    dst = np.empty(2 * k, dtype=np.int64)
-    dst[:k] = src[k:]
-    dst[k:] = src[:k]
-    return src, dst
+    return src
 
 
 def _as_ids(a) -> np.ndarray:
@@ -210,9 +205,9 @@ def _as_ids(a) -> np.ndarray:
     return a.reshape(-1)
 
 
-@dataclass(frozen=True)
 class EdgeListGraph:
-    """A graph as directed edge arrays (both directions present).
+    """A graph as directed edge arrays, each edge stored once, its
+    mirror built on demand.
 
     Attributes
     ----------
@@ -224,16 +219,60 @@ class EdgeListGraph:
         neighbours.  The constructors normalise their input: self-loops
         are dropped and parallel edges deduplicated, so ``src.size`` is
         exactly twice the number of distinct undirected edges.
+
+    A constructor-built graph stores only ``src = [lo, hi]``: the lows
+    of its sorted duplicate-free ``lo < hi`` pairs, then their highs.
+    ``dst = [hi, lo]`` is the exact mirror; it is built on its first
+    read and cached on the instance.  Readers that need only the pair
+    set take :meth:`pairs` and never build it.  A graph constructed
+    directly as ``EdgeListGraph(n, src, dst)`` keeps the arrays it was
+    given.  Instances are frozen.
     """
 
-    n: int
-    src: np.ndarray
-    dst: np.ndarray
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "_dst", dst)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"EdgeListGraph(n={self.n}, edge_count={self.edge_count})"
+
+    @property
+    def dst(self) -> np.ndarray:
+        """The other endpoint of each ``src`` entry."""
+        dst = self._dst
+        if dst is None:
+            # no lock: threads that race here build equal arrays, and
+            # whichever is cached last serves the later reads
+            dst = _mirror(self.src)
+            object.__setattr__(self, "_dst", dst)
+        return dst
 
     @property
     def edge_count(self) -> int:
         """Number of *undirected* edges."""
         return int(self.src.size) // 2
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(a, b)`` with ``a < b`` naming every edge at least once.
+
+        For a constructor-built graph these are the two halves of
+        ``src`` (views: the sorted duplicate-free pair set, each edge
+        once).  Any other graph holds both orientations of every edge,
+        so its ``src < dst`` entries name each edge (duplicates kept)
+        and leave the self-loops out.
+        """
+        if self.__dict__.get("_canonical", False):
+            k = self.edge_count
+            return self.src[:k], self.src[k:]
+        upper = self.src < self.dst
+        return self.src[upper], self.dst[upper]
 
     @staticmethod
     def from_arrays(
@@ -257,22 +296,14 @@ class EdgeListGraph:
                 f"endpoint arrays differ in length: {u.size} vs {v.size}"
             )
         if not assume_canonical:
-            src, dst = _canonical_directed(n, u, v)
+            src = _canonical_src(n, u, v)
         elif u.size:
             _check_range(n, min(int(u.min()), int(v.min())),
                          max(int(u.max()), int(v.max())))
             src = np.concatenate([u, v])
-            dst = np.concatenate([v, u])
         else:
             src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        graph = EdgeListGraph(n=n, src=src, dst=dst)
-        # the first half of (src, dst) is now the sorted duplicate-free
-        # u < v pair set; stamp that so content hashing can trust it
-        # without re-verifying (the stamp travels only through the
-        # constructors -- direct dataclass construction never has it)
-        object.__setattr__(graph, "_canonical", True)
-        return graph
+        return _stamped(n, src)
 
     @staticmethod
     def from_edges(
@@ -302,6 +333,28 @@ class EdgeListGraph:
         flat = np.flatnonzero(g.matrix.view(np.bool_)).astype(np.int64, copy=False)
         rows, cols = np.divmod(flat, max(g.n, 1))
         return EdgeListGraph(n=g.n, src=rows, dst=cols)
+
+
+def _mirror(src: np.ndarray) -> np.ndarray:
+    """``[hi, lo]`` for ``src = [lo, hi]``: the other endpoint of each
+    entry."""
+    k = src.size // 2
+    dst = np.empty_like(src)
+    dst[:k] = src[k:]
+    dst[k:] = src[:k]
+    return dst
+
+
+def _stamped(n: int, src: np.ndarray) -> EdgeListGraph:
+    """The graph stored as ``src = [lo, hi]``, stamped canonical: the
+    caller vouches that its halves are the sorted duplicate-free
+    ``lo < hi`` pairs.  The stamp lets ``dst`` be built on demand and
+    content hashing trust the pairs without re-verifying; only the
+    constructors (and the serve layer's union of stamped graphs) give
+    it -- direct construction never has it."""
+    graph = EdgeListGraph(n, src, None)
+    object.__setattr__(graph, "_canonical", True)
+    return graph
 
 
 @dataclass

@@ -8,7 +8,10 @@ decomposition:
 
 1. **Partition** -- the edge stream is split by stride into ``k`` shard
    files (:class:`~repro.analysis.shards.ShardStore`) without ever
-   materialising the full list; the planner
+   materialising the full list.  An in-RAM
+   :class:`~repro.hirschberg.edgelist.EdgeListGraph` source streams its
+   :meth:`~repro.hirschberg.edgelist.EdgeListGraph.pairs`, each edge
+   once, so no edge is partitioned, solved or merged twice.  The planner
    (:func:`~repro.analysis.shards.plan_shards`) sizes ``k`` so that the
    configured number of concurrent shard solves fits the memory budget.
 2. **Per-shard contraction** -- each shard is a subgraph over the
@@ -25,7 +28,9 @@ decomposition:
    :class:`~repro.serve.executor.PoolExecutor` -- endpoint arrays
    travel through shared-memory slabs with zero pickling, and a bounded
    window of in-flight shards keeps peak resident memory under the
-   budget.
+   budget.  The frontiers are appended in shard order whatever order
+   the pool finishes the shards in, so a pooled run merges the same
+   frontier file, in the same number of passes, as an inline one.
 3. **Boundary merge** -- the union of the per-shard star forests
    connects ``u`` and ``v`` iff some shard path does, and every edge
    lives in exactly one shard, so the union has the same components as
@@ -175,13 +180,13 @@ def _as_stream(
     shards balanced whatever the stream's real length turns out to be.
     """
     if isinstance(source, EdgeListGraph):
-        edges = int(source.src.size)
+        u, v = source.pairs()  # each edge once
+        edges = int(u.size)
 
         def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-            for start in range(0, max(edges, 1), DEFAULT_CHUNK_EDGES):
-                stop = min(start + DEFAULT_CHUNK_EDGES, edges)
-                if stop > start:
-                    yield source.src[start:stop], source.dst[start:stop]
+            for start in range(0, edges, DEFAULT_CHUNK_EDGES):
+                stop = start + DEFAULT_CHUNK_EDGES
+                yield u[start:stop], v[start:stop]
 
         return int(source.n), edges, chunks()
     if isinstance(source, (str, Path)):
@@ -281,9 +286,10 @@ def connected_components_sharded(
     Parameters
     ----------
     source:
-        An :class:`~repro.hirschberg.edgelist.EdgeListGraph`, a path to
-        an edge-list text file (streamed, never materialised), or a
-        pair ``(n, iterable of (u, v) chunk arrays)``.
+        An :class:`~repro.hirschberg.edgelist.EdgeListGraph` (its pairs
+        are streamed, each edge once), a path to an edge-list text file
+        (streamed, never materialised), or a pair ``(n, iterable of
+        (u, v) chunk arrays)``.
     n, edges_hint:
         Vertex count / edge estimate for iterable sources (the hint
         only sizes the plan).
@@ -355,7 +361,9 @@ def connected_components_sharded(
             active_pool = own_pool
         frontier = PairFile(workdir / "frontier.pairs")
         shard_stats: List[Dict[str, int]] = []
+
         emit_lock = threading.Lock()
+        done: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
 
         def solve_one(i: int) -> None:
             u, v = store.read_shard(i)
@@ -363,13 +371,19 @@ def connected_components_sharded(
                 verts, reps = active_pool.solve_shard(n, u, v)
             else:
                 verts, reps = solve_shard_arrays(n, u, v)
+            # the frontiers are appended in shard order, whatever order
+            # the pool finishes them in, so the merge reads the same file
+            # as an inline run; the thread that completes the next run of
+            # finished shards appends it (no thread waits for another)
             with emit_lock:
-                frontier.append(verts, reps)
-                shard_stats.append({
-                    "shard": i,
-                    "edges": int(u.size),
-                    "frontier": int(verts.size),
-                })
+                done[i] = (int(u.size), verts, reps)
+                while len(shard_stats) in done:
+                    edges, verts, reps = done.pop(len(shard_stats))
+                    frontier.append(verts, reps)
+                    shard_stats.append({
+                        "shard": len(shard_stats), "edges": edges,
+                        "frontier": int(verts.size),
+                    })
 
         if active_pool is not None and plan.shards > 1:
             with ThreadPoolExecutor(
@@ -381,7 +395,6 @@ def connected_components_sharded(
             for i in range(plan.shards):
                 solve_one(i)
         frontier.flush()
-        shard_stats.sort(key=lambda s: s["shard"])
         seconds["solve"] = time.perf_counter() - t0
 
         # -- stage 3: boundary merge over the frontier forest ----------

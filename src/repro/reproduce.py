@@ -286,8 +286,8 @@ def _e18_edgelist() -> tuple:
     g = random_edge_list(20_000, 25_000, seed=7)
     res = connected_components_edgelist(g)
     uf = UnionFind(g.n)
-    half = g.src.size // 2
-    for u, v in zip(g.src[:half].tolist(), g.dst[:half].tolist()):
+    us, vs = g.pairs()
+    for u, v in zip(us.tolist(), vs.tolist()):
         uf.union(u, v)
     return _check(
         np.array_equal(res.labels, uf.canonical_labels()),

@@ -258,15 +258,17 @@ def encode_graph_request(
 ) -> bytes:
     """A SOLVE frame for an :class:`EdgeListGraph`.
 
-    The first half of ``(src, dst)`` is the graph's sorted duplicate-free
-    ``u < v`` pair set (the constructors normalise), so the frame is
-    stamped :data:`FLAG_CANONICAL` and the gateway rebuilds the graph
-    without re-normalising.
+    The payload is the graph's :meth:`~EdgeListGraph.pairs`, each edge
+    once.  A constructor-built graph's pairs are its sorted
+    duplicate-free ``u < v`` pair set, so its frame is stamped
+    :data:`FLAG_CANONICAL` and the gateway rebuilds the graph without
+    re-normalising; any other graph's frame is normalised on decode.
     """
-    m = graph.edge_count
+    u, v = graph.pairs()
     return encode_solve_request(
-        graph.n, graph.src[:m], graph.dst[:m], request_id=request_id,
-        deadline=deadline, dtype_code=dtype_code, canonical=True,
+        graph.n, u, v, request_id=request_id, deadline=deadline,
+        dtype_code=dtype_code,
+        canonical=graph.__dict__.get("_canonical", False),
     )
 
 

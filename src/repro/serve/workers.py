@@ -29,7 +29,7 @@ from repro.core.api import connected_components
 from repro.core.batched import BatchedGCA
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.hirschberg.contracting import connected_components_contracting
-from repro.hirschberg.edgelist import EdgeListGraph
+from repro.hirschberg.edgelist import EdgeListGraph, _mirror, _stamped
 from repro.serve.request import GraphLike
 
 
@@ -84,20 +84,25 @@ def as_edge_list(graph: GraphLike) -> EdgeListGraph:
 
 
 def union_edges(lists: Sequence[EdgeListGraph], offsets: np.ndarray):
-    """The directed edge arrays of the members' disjoint union.
+    """The members' disjoint union, each edge once.
 
     ``offsets`` is the node-offset prefix sum (``len(lists) + 1``
-    entries).  Returns ``(src, dst)``.
+    entries).  Returns the union's ``src``: every member's
+    :meth:`~repro.hirschberg.edgelist.EdgeListGraph.pairs` shifted by
+    its node offset, all the lows and then all the highs.
     """
+    pairs = [e.pairs() for e in lists]
+    counts = [lo.size for lo, _ in pairs]
+    k = sum(counts)
+    src = np.empty(2 * k, dtype=np.int64)
     # concatenate first, shift once: one repeat + two in-place adds
     # instead of a tiny ufunc dispatch per member
-    src = np.concatenate([e.src for e in lists])
-    dst = np.concatenate([e.dst for e in lists])
-    edge_counts = np.asarray([e.src.size for e in lists])
-    shift = np.repeat(offsets[:-1], edge_counts)
-    src += shift
-    dst += shift
-    return src, dst
+    np.concatenate([lo for lo, _ in pairs], out=src[:k])
+    np.concatenate([hi for _, hi in pairs], out=src[k:])
+    shift = np.repeat(offsets[:-1], counts)
+    src[:k] += shift
+    src[k:] += shift
+    return src
 
 
 def split_union_labels(
@@ -140,7 +145,12 @@ def solve_coalesced(
     total = int(offsets[-1])
     if total == 0:
         return [np.empty(0, dtype=np.int64) for _ in lists]
-    src, dst = union_edges(lists, offsets)
-    union = EdgeListGraph(n=total, src=src, dst=dst)
+    src = union_edges(lists, offsets)
+    if all(getattr(e, "_canonical", False) for e in lists):
+        # canonical blocks shifted in offset order stay sorted and
+        # duplicate-free: the union is canonical too, and needs no mirror
+        union = _stamped(total, src)
+    else:
+        union = EdgeListGraph(n=total, src=src, dst=_mirror(src))
     labels = connected_components_contracting(union).labels
     return split_union_labels(labels, offsets)
