@@ -53,6 +53,9 @@ GraphLike = Union[AdjacencyMatrix, np.ndarray]
 #: fallback raise a clear ``ValueError`` instead of wrapping silently.
 _PACK_LIMIT = 3_000_000_000
 
+#: The largest ``n`` a graph may have: node ids are int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _first_of_runs(key: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal values in the
@@ -283,9 +286,12 @@ class EdgeListGraph:
         Self-loops are dropped and parallel edges (including an edge given
         in both orientations) are deduplicated.  ``assume_canonical=True``
         skips the normalisation for callers that already hold sorted,
-        duplicate-free ``u < v`` pairs.
+        duplicate-free ``u < v`` pairs.  ``n`` must fit int64, the
+        dtype of every node id.
         """
         check_positive("n", n)
+        if n > _INT64_MAX:
+            raise ValueError(f"n must fit int64, got {n}")
         if assume_canonical:
             u = np.ascontiguousarray(u, dtype=np.int64).ravel()
             v = np.ascontiguousarray(v, dtype=np.int64).ravel()
@@ -326,13 +332,20 @@ class EdgeListGraph:
 
     @staticmethod
     def from_adjacency(graph: GraphLike) -> "EdgeListGraph":
-        """Convert a dense adjacency graph."""
+        """Convert a dense adjacency graph (stamped canonical)."""
         g = graph if isinstance(graph, AdjacencyMatrix) else AdjacencyMatrix(np.asarray(graph))
         # flat indices of the 0/1 bytes split into (row, col): the same
-        # row-major pairs as np.nonzero, about 3x faster on dense input
-        flat = np.flatnonzero(g.matrix.view(np.bool_)).astype(np.int64, copy=False)
+        # row-major pairs as np.nonzero, about 3x faster on dense input;
+        # the row < col ones are already the sorted duplicate-free pairs.
+        # Split as int32 where the indices fit: it writes half the memory
+        flat = np.flatnonzero(g.matrix.view(np.bool_))
+        if g.n * g.n <= 2**31:
+            flat = flat.astype(np.int32)
         rows, cols = np.divmod(flat, max(g.n, 1))
-        return EdgeListGraph(n=g.n, src=rows, dst=cols)
+        del flat
+        upper = rows < cols
+        src = np.concatenate([rows[upper], cols[upper]], dtype=np.int64)
+        return _stamped(g.n, src)
 
 
 def _mirror(src: np.ndarray) -> np.ndarray:

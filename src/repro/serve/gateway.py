@@ -7,16 +7,34 @@ sniffed from the first byte of each connection:
   length-prefixed framing of :mod:`repro.serve.protocol`.  Requests may
   be pipelined; responses carry the request id and may interleave.
   Large label vectors stream back in bounded chunks with backpressure
-  (``await drain()`` between chunks).
+  (``await drain()`` between chunks).  A client that half-closes
+  (``shutdown(SHUT_WR)``) after its last frame still gets every answer:
+  at EOF the connection waits for its own solves before it closes.
 * **JSON lines** (first byte ``{`` or ``[``) -- one request object per
   line, one response object per line, processed sequentially.
 * **HTTP** (a method's first byte) -- ``POST /solve`` with the JSON
   request as body, ``GET /metrics`` for the server snapshot,
   ``GET /healthz``; one request per connection.
 
+All three share one solve path, :meth:`Gateway._solve`, and answer its
+outcome alike: a binary error frame, a JSON ``status`` (every JSON and
+HTTP body carries ``id``, ``null`` when undecodable) and, over HTTP,
+
+==========================================  ====
+outcome                                     HTTP
+==========================================  ====
+``ok``                                      200
+``bad_frame`` (malformed, out of range)     400
+``error`` (exception, engine failure)       500
+``shed`` / ``cancelled``                    503
+``timeout``                                 504
+==========================================  ====
+
+Bad input and binary frames torn by EOF count in ``protocol_errors``.
+
 Everything behind the socket is the existing in-process pipeline: the
 gateway builds an :class:`~repro.hirschberg.edgelist.EdgeListGraph`
-straight from the frame's endpoint views and calls
+straight from the request's endpoint arrays and calls
 ``Server.submit_request`` -- which probes the content-addressed
 :class:`~repro.serve.cache.ResultCache` *before* admission, so a
 duplicate graph arriving over the socket resolves without touching the
@@ -26,28 +44,30 @@ The event loop never blocks:
 
 * **Admission** maps onto the server's configured backpressure policy.
   Under ``"shed"`` / ``"fail"`` a full queue resolves or raises
-  immediately, and the client gets a typed :data:`STATUS_SHED` error
-  frame.  Under ``"block"`` the (blocking) submit runs on the gateway's
-  small thread pool, so waiting for queue space parks a pool thread --
-  never the loop -- and frames keep being read from other connections.
-  Small frames on a non-blocking policy submit inline (the pool hop
-  costs more than the submit).
+  immediately, and the client gets a typed shed answer.  Under
+  ``"block"`` the (blocking) submit runs on the gateway's small thread
+  pool, so waiting for queue space parks a pool thread -- never the
+  loop -- and requests keep being read from other connections.
+  Requests of at most :data:`_INLINE_PAIRS` pairs on a non-blocking
+  policy submit inline, whatever their dialect (the pool hop costs more
+  than the submit).
 * **Completion** rides :meth:`ResultHandle.add_done_callback`: the
   resolving server thread hands the response back to the loop via
   ``call_soon_threadsafe``, so no thread ever parks in
   ``handle.response()``.
-* **Deadlines** in the frame header (or the gateway default) propagate
+* **Deadlines** in the request (or the gateway default) propagate
   into :class:`~repro.serve.request.CCRequest`, so the scheduler's
   deadline-pressure flushes and timeout drops apply to wire traffic
   exactly as to in-process traffic.
 
 Shutdown is drain-first: :meth:`Gateway.aclose` stops accepting, sheds
-frames that arrive after the drain began, waits (bounded) for in-flight
-wire requests to resolve, then closes connections.  The process-level
-wrapper :func:`run_gateway` additionally wires SIGTERM/SIGINT to that
-drain followed by ``Server.stop(drain=True, timeout=...)`` -- a signal
-never drops an admitted request.  :func:`start_gateway` runs the same
-gateway on a background thread for tests, benchmarks and embedding.
+requests that arrive after the drain began, waits (bounded) for in-flight
+wire requests to resolve and be answered, then closes connections.  The
+process-level wrapper :func:`run_gateway` additionally wires
+SIGTERM/SIGINT to that drain followed by ``Server.stop(drain=True,
+timeout=...)`` -- a signal never drops an admitted request.
+:func:`start_gateway` runs the same gateway on a background thread for
+tests, benchmarks and embedding.
 """
 
 from __future__ import annotations
@@ -56,10 +76,10 @@ import asyncio
 import json
 import signal
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Set, Tuple
+from http import HTTPStatus
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -67,18 +87,20 @@ from repro.hirschberg.edgelist import EdgeListGraph
 from repro.serve import protocol
 from repro.serve.protocol import (
     KIND_PING,
-    KIND_SOLVE,
     ProtocolError,
     RequestHeader,
     STATUS_BAD_FRAME,
     STATUS_ERROR,
+    STATUS_NAMES,
+    STATUS_OK,
+    STATUS_OVERSIZED,
     STATUS_SHED,
+    STATUS_TIMEOUT,
 )
 from repro.serve.request import (
     CCRequest,
     CCResponse,
     QueueFull,
-    RequestStatus,
     ResultHandle,
     ServerClosed,
 )
@@ -97,6 +119,35 @@ _STREAM_LIMIT = 8 << 20
 
 #: HTTP method first-bytes for connection sniffing.
 _HTTP_FIRST = frozenset(b"GPHDOT")
+
+#: Requests of at most this many pairs submit inline on the event loop
+#: (cheaper than a pool hop) -- only when admission cannot block.
+_INLINE_PAIRS = 8192
+
+#: HTTP status of each wire status; shed and cancelled answer 503.
+_HTTP_STATUS = {STATUS_OK: 200, STATUS_BAD_FRAME: 400, STATUS_ERROR: 500,
+                STATUS_TIMEOUT: 504}
+
+#: What :meth:`Gateway._solve` resolves to: the server's response, or a
+#: ``(wire status, message)`` failure that never reached a response.
+_Outcome = Union[CCResponse, Tuple[int, str]]
+
+
+def _verdict(outcome: _Outcome) -> Tuple[int, str]:
+    """``(wire status, message)`` of any outcome."""
+    if isinstance(outcome, CCResponse):
+        return (protocol.status_of_response(outcome),
+                outcome.error or outcome.status.value)
+    return outcome
+
+
+def _json_answer(request_id: Any, outcome: _Outcome) -> bytes:
+    """The JSON line (or HTTP body) answering an outcome."""
+    if isinstance(outcome, CCResponse):
+        return protocol.encode_json_response(request_id, outcome)
+    status, message = outcome
+    return protocol.encode_json_response(
+        request_id, error=message, status=STATUS_NAMES[status])
 
 
 @dataclass(frozen=True)
@@ -117,10 +168,6 @@ class GatewayConfig:
         (64k labels = 512 KiB per frame by default).
     submit_threads:
         Thread-pool size for graph construction + blocking submits.
-    inline_pair_limit:
-        Frames at most this many pairs submit inline on the event loop
-        (cheaper than a pool hop) -- only when the server's admission
-        policy cannot block.
     default_deadline:
         Deadline applied to wire requests that do not carry one
         (``None`` = server default).
@@ -137,7 +184,6 @@ class GatewayConfig:
     max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD
     chunk_labels: int = 65536
     submit_threads: int = 4
-    inline_pair_limit: int = 8192
     default_deadline: Optional[float] = None
     drain_timeout: float = 10.0
     backlog: int = 2048
@@ -162,17 +208,19 @@ class GatewayConfig:
 
 
 class _Connection:
-    """Per-connection state: the writer plus a lock serialising response
+    """Per-connection state: the writer, a lock serialising response
     writes (pipelined requests complete out of order; each response's
-    chunks must not interleave with another's)."""
+    chunks must not interleave with another's) and the solve tasks the
+    connection spawned, which it awaits before it closes."""
 
-    __slots__ = ("reader", "writer", "lock")
+    __slots__ = ("reader", "writer", "lock", "tasks")
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
         self.lock = asyncio.Lock()
+        self.tasks: Set["asyncio.Task[None]"] = set()
 
 
 class Gateway:
@@ -187,18 +235,13 @@ class Gateway:
     def __init__(self, server: Server,
                  config: Optional[GatewayConfig] = None,
                  **overrides: Any):
-        if config is None:
-            config = GatewayConfig(**overrides)
-        elif overrides:
-            config = replace(config, **overrides)
-        self.config = config
+        self.config = replace(config or GatewayConfig(), **overrides)
         self.server = server
         self.metrics = server.metrics
         self._listener: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._connections: Set[_Connection] = set()
-        self._tasks: Set["asyncio.Task[None]"] = set()
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
         self._draining = False
@@ -239,14 +282,14 @@ class Gateway:
 
     @property
     def inflight(self) -> int:
-        """Wire requests admitted but not yet answered."""
+        """Wire requests admitted but not yet resolved."""
         return self._inflight
 
     async def aclose(self, drain: bool = True,
                      timeout: Optional[float] = None) -> bool:
         """Stop listening and shut the wire layer down.
 
-        ``drain=True`` sheds frames that arrive from here on but waits
+        ``drain=True`` sheds requests that arrive from here on but waits
         (bounded by ``timeout``, default the configured
         ``drain_timeout``) for already-admitted wire requests to
         resolve and their responses to flush.  Returns ``False`` when
@@ -257,21 +300,30 @@ class Gateway:
         if self._listener is not None:
             self._listener.close()
             await self._listener.wait_closed()
-        if drain and self._idle is not None and self._inflight > 0:
+        if drain and self._idle is not None:
             bound = self.config.drain_timeout if timeout is None else timeout
             try:
-                await asyncio.wait_for(self._idle.wait(), bound)
+                await asyncio.wait_for(self._settled(), bound)
             except asyncio.TimeoutError:
                 drained = False
         for conn in list(self._connections):
             conn.writer.close()
-        for task in list(self._tasks):
+        tasks = self._solve_tasks()
+        for task in tasks:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         if self._pool is not None:
             self._pool.shutdown(wait=False)
         return drained
+
+    def _solve_tasks(self) -> Set["asyncio.Task[None]"]:
+        return {task for conn in self._connections for task in conn.tasks}
+
+    async def _settled(self) -> None:
+        """Every admitted request resolved and its answer written."""
+        assert self._idle is not None
+        await self._idle.wait()
+        await asyncio.gather(*self._solve_tasks(), return_exceptions=True)
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -293,11 +345,10 @@ class Gateway:
                     0, STATUS_BAD_FRAME,
                     f"unrecognised first byte 0x{first[0]:02x}",
                 ))
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # loop teardown cancelled the handler mid-read; finish the
-            # task cleanly so the streams machinery logs nothing
+        except (asyncio.IncompleteReadError, ConnectionError, OSError,
+                asyncio.CancelledError):
+            # the peer went away, or loop teardown cancelled the handler
+            # mid-read: finish cleanly so the streams machinery logs nothing
             pass
         finally:
             self._connections.discard(conn)
@@ -308,52 +359,47 @@ class Gateway:
                 pass
 
     async def _binary_loop(self, conn: _Connection, first: bytes) -> None:
-        """Read framed requests until EOF; pipelining allowed."""
-        reader = conn.reader
-        head = first + await reader.readexactly(
-            protocol.REQUEST_HEADER_SIZE - 1
-        )
-        while True:
-            try:
-                header = protocol.decode_request_header(
-                    head, self.config.max_payload_bytes
-                )
-            except ProtocolError as exc:
-                self.metrics.record_wire_error()
-                self.metrics.record_wire_in(len(head), frames=0)
-                if not await self._reject_frame(conn, head, exc):
-                    return
-                head = await self._next_header(reader)
-                if head is None:
-                    return
-                continue
-            payload = b""
-            if header.payload_bytes:
-                payload = await reader.readexactly(header.payload_bytes)
-            self.metrics.record_wire_in(len(head) + len(payload))
-            if header.kind == KIND_PING:
-                await self._write_frame(
-                    conn, protocol.encode_pong(header.request_id)
-                )
-            elif self._draining:
-                await self._write_frame(conn, protocol.encode_error(
-                    header.request_id, STATUS_SHED, "gateway draining",
-                ))
-            else:
-                self._spawn(self._process_solve(conn, header, payload))
-            head = await self._next_header(reader)
-            if head is None:
-                return
+        """Read framed requests until EOF; pipelining allowed.
 
-    async def _next_header(self,
-                           reader: asyncio.StreamReader) -> Optional[bytes]:
-        """The next request header, ``None`` on clean EOF."""
+        Each solve runs as a task of the connection; at EOF, a
+        half-close included, the loop awaits them so every admitted
+        frame is answered before the connection closes.  A frame torn
+        by EOF (in its header or its payload) counts one protocol error.
+        """
+        reader = conn.reader
+        at_boundary = False  # EOF here is clean: between two frames
         try:
-            return await reader.readexactly(protocol.REQUEST_HEADER_SIZE)
+            head = first + await reader.readexactly(
+                protocol.REQUEST_HEADER_SIZE - 1)
+            while True:
+                try:
+                    header = protocol.decode_request_header(
+                        head, self.config.max_payload_bytes)
+                except ProtocolError as exc:
+                    self.metrics.record_wire_error()
+                    self.metrics.record_wire_in(len(head), frames=0)
+                    if not await self._reject_frame(conn, head, exc):
+                        return
+                else:
+                    payload = await reader.readexactly(header.payload_bytes)
+                    self.metrics.record_wire_in(len(head) + len(payload))
+                    if header.kind == KIND_PING:
+                        await self._write_frame(
+                            conn, protocol.encode_pong(header.request_id)
+                        )
+                    else:
+                        task = asyncio.ensure_future(
+                            self._binary_solve(conn, header, payload))
+                        conn.tasks.add(task)
+                        task.add_done_callback(conn.tasks.discard)
+                at_boundary = True
+                head = await reader.readexactly(protocol.REQUEST_HEADER_SIZE)
+                at_boundary = False
         except asyncio.IncompleteReadError as exc:
-            if exc.partial:  # torn mid-header: a truncated frame
+            if exc.partial or not at_boundary:
                 self.metrics.record_wire_error()
-            return None
+        finally:
+            await asyncio.gather(*conn.tasks, return_exceptions=True)
 
     async def _reject_frame(self, conn: _Connection, head: bytes,
                             exc: ProtocolError) -> bool:
@@ -386,71 +432,68 @@ class Gateway:
             self.metrics.record_wire_in(len(chunk), frames=0)
             remaining -= len(chunk)
 
-    # -- solve path ----------------------------------------------------
-    def _spawn(self, coro: Any) -> None:
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    async def _binary_solve(self, conn: _Connection, header: RequestHeader,
+                            payload: bytes) -> None:
+        """One SOLVE frame -> label chunks or a typed error frame."""
+        rid = header.request_id
+        outcome = await self._solve(
+            lambda: protocol.graph_from_frame(header, payload),
+            header.deadline, header.m, f"wire-{rid}",
+        )
+        status, message = _verdict(outcome)
+        try:
+            if isinstance(outcome, CCResponse) and status == STATUS_OK:
+                assert outcome.labels is not None
+                await self._write_labels(conn, rid, outcome.labels)
+            else:
+                await self._write_frame(
+                    conn, protocol.encode_error(rid, status, message))
+        except (ConnectionError, OSError):
+            pass  # peer went away; the solve result is simply dropped
 
-    def _build_and_submit(self, header: RequestHeader,
-                          payload: bytes) -> ResultHandle:
-        """Frame -> graph -> ``Server.submit_request``.
+    # -- the solve path, shared by every dialect -----------------------
+    async def _solve(self, build: Callable[[], EdgeListGraph],
+                     deadline: Optional[float], pairs: int,
+                     request_id: Optional[str]) -> _Outcome:
+        """Build a request's graph, submit it and await its response.
 
-        Runs inline for small frames under non-blocking admission, on
-        the gateway thread pool otherwise.  The submit path probes the
-        result cache before admission (inside ``submit_request``), so a
-        duplicate graph resolves here without entering the queue.
+        ``pairs`` sizes the request for the inline rule.  A failure that
+        never reached a response comes back as ``(wire status,
+        message)``: shed (draining, admission), bad frame (a
+        ``ValueError`` / ``IndexError``, counted in ``protocol_errors``)
+        or error (any other exception).
         """
-        graph = protocol.graph_from_frame(header, payload)
-        deadline = header.deadline
+        assert self._loop is not None and self._idle is not None
+        if self._draining:
+            return STATUS_SHED, "gateway draining"
+        received = self._loop.time()
         if deadline is None:
             deadline = self.config.default_deadline
-        return self.server.submit_request(CCRequest(
-            graph=graph, deadline=deadline,
-            request_id=f"wire-{header.request_id}",
-        ))
 
-    async def _process_solve(self, conn: _Connection, header: RequestHeader,
-                             payload: bytes) -> None:
-        assert self._loop is not None and self._idle is not None
-        received = self._loop.time()
+        def submit() -> ResultHandle:
+            # probes the result cache before admission, so a duplicate
+            # graph resolves here without entering the queue
+            return self.server.submit_request(CCRequest(
+                graph=build(), deadline=deadline, request_id=request_id,
+            ))
+
         self._inflight += 1
         self._idle.clear()
         try:
-            rid = header.request_id
             try:
-                if self._inline_ok and header.m <= self.config.inline_pair_limit:
-                    handle = self._build_and_submit(header, payload)
+                if self._inline_ok and pairs <= _INLINE_PAIRS:
+                    handle = submit()
                 else:
-                    assert self._pool is not None
-                    handle = await self._loop.run_in_executor(
-                        self._pool, self._build_and_submit, header, payload
-                    )
+                    handle = await self._loop.run_in_executor(self._pool, submit)
             except (QueueFull, ServerClosed) as exc:
-                await self._write_frame(conn, protocol.encode_error(
-                    rid, STATUS_SHED, str(exc)))
-                return
+                return STATUS_SHED, str(exc)
             except (ValueError, IndexError) as exc:
                 self.metrics.record_wire_error()
-                await self._write_frame(conn, protocol.encode_error(
-                    rid, STATUS_BAD_FRAME, str(exc)))
-                return
+                return STATUS_BAD_FRAME, str(exc)
             except Exception as exc:  # noqa: BLE001 -- wire must answer
-                await self._write_frame(conn, protocol.encode_error(
-                    rid, STATUS_ERROR, str(exc)))
-                return
+                return STATUS_ERROR, str(exc)
             self.metrics.record_admit(self._loop.time() - received)
-            response = await self._bridge(handle)
-            if response.status is RequestStatus.OK:
-                assert response.labels is not None
-                await self._write_labels(conn, rid, response.labels)
-            else:
-                await self._write_frame(conn, protocol.encode_error(
-                    rid, protocol.status_of_response(response),
-                    response.error or response.status.value,
-                ))
-        except (ConnectionError, OSError):
-            pass  # peer went away; the solve result is simply dropped
+            return await self._bridge(handle)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
@@ -496,81 +539,35 @@ class Gateway:
         )
         async with conn.lock:
             for head, payload in chunks:
-                self.metrics.record_wire_out(
-                    len(head) + len(payload))
+                self.metrics.record_wire_out(len(head) + len(payload))
                 conn.writer.write(head)
                 if len(payload):
                     conn.writer.write(payload)
                 await conn.writer.drain()
 
-    # -- JSON line dialect ---------------------------------------------
+    # -- JSON dialects: lines and the HTTP body ------------------------
     async def _json_loop(self, conn: _Connection, first: bytes) -> None:
         reader = conn.reader
         line = first + await reader.readline()
         while line.strip():
-            await self._process_json(conn, line)
+            self.metrics.record_wire_in(len(line))
+            rid, outcome = await self._json_solve(line)
+            await self._write_frame(conn, _json_answer(rid, outcome))
             line = await reader.readline()
 
-    async def _process_json(self, conn: _Connection, line: bytes) -> None:
-        """One JSON request -> one JSON response line (sequential)."""
-        assert self._loop is not None and self._idle is not None
-        self.metrics.record_wire_in(len(line))
-        received = self._loop.time()
+    async def _json_solve(self, body: bytes) -> Tuple[Any, _Outcome]:
+        """One JSON request -> its ``id`` and outcome."""
         try:
-            fields = protocol.decode_json_request(line)
+            fields = protocol.decode_json_request(body)
         except ProtocolError as exc:
             self.metrics.record_wire_error()
-            await self._write_json(conn, protocol.encode_json_response(
-                None, error=str(exc), status="bad_frame"))
-            return
-        if self._draining:
-            await self._write_json(conn, protocol.encode_json_response(
-                fields["id"], error="gateway draining", status="shed"))
-            return
-        self._inflight += 1
-        self._idle.clear()
-        try:
-            def _submit() -> ResultHandle:
-                graph = EdgeListGraph.from_arrays(
-                    fields["n"], fields["u"], fields["v"]
-                )
-                deadline = fields["deadline"]
-                if deadline is None:
-                    deadline = self.config.default_deadline
-                return self.server.submit_request(
-                    CCRequest(graph=graph, deadline=deadline)
-                )
+            return None, (STATUS_BAD_FRAME, str(exc))
+        return fields["id"], await self._solve(
+            lambda: EdgeListGraph.from_arrays(
+                fields["n"], fields["u"], fields["v"]),
+            fields["deadline"], int(fields["u"].size), None,
+        )
 
-            try:
-                assert self._pool is not None
-                handle = await self._loop.run_in_executor(self._pool, _submit)
-            except (QueueFull, ServerClosed) as exc:
-                await self._write_json(conn, protocol.encode_json_response(
-                    fields["id"], error=str(exc), status="shed"))
-                return
-            except (ValueError, IndexError) as exc:
-                self.metrics.record_wire_error()
-                await self._write_json(conn, protocol.encode_json_response(
-                    fields["id"], error=str(exc), status="bad_frame"))
-                return
-            self.metrics.record_admit(self._loop.time() - received)
-            response = await self._bridge(handle)
-            await self._write_json(conn, protocol.encode_json_response(
-                fields["id"], response))
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-
-    async def _write_json(self, conn: _Connection, line: bytes) -> None:
-        async with conn.lock:
-            conn.writer.write(line)
-            await conn.writer.drain()
-        self.metrics.record_wire_out(len(line))
-
-    # -- HTTP convenience dialect --------------------------------------
     async def _http_exchange(self, conn: _Connection, first: bytes) -> None:
         """One HTTP request per connection (``Connection: close``)."""
         reader = conn.reader
@@ -584,7 +581,8 @@ class Gateway:
         request_line, _, header_block = head.partition("\r\n")
         parts = request_line.split()
         if len(parts) != 3:
-            await self._write_http(conn, 400, {"error": "malformed request"})
+            await self._write_http(conn, 400, _json_answer(
+                None, (STATUS_BAD_FRAME, "malformed request")))
             return
         method, path, _version = parts
         headers: Dict[str, str] = {}
@@ -598,98 +596,42 @@ class Gateway:
             state = "draining" if self._draining else "ok"
             await self._write_http(conn, 200, {"status": state})
         elif method == "POST" and path == "/solve":
-            await self._http_solve(conn, reader, headers)
+            await self._http_solve(conn, headers)
         else:
-            await self._write_http(
-                conn, 404, {"error": f"no route {method} {path}"}
-            )
+            await self._write_http(conn, 404, _json_answer(
+                None, (STATUS_BAD_FRAME, f"no route {method} {path}")))
 
     async def _http_solve(self, conn: _Connection,
-                          reader: asyncio.StreamReader,
                           headers: Dict[str, str]) -> None:
-        try:
-            length = int(headers.get("content-length", ""))
-        except ValueError:
-            await self._write_http(
-                conn, 411, {"error": "Content-Length required"})
+        declared = headers.get("content-length", "")
+        if not declared.isdecimal():
+            await self._write_http(conn, 411, _json_answer(
+                None, (STATUS_BAD_FRAME, "Content-Length required")))
             return
+        length = int(declared)
         if length > self.config.max_payload_bytes:
             self.metrics.record_wire_error()
-            await self._write_http(conn, 413, {
-                "error": f"body of {length} bytes exceeds the "
-                         f"{self.config.max_payload_bytes}-byte ceiling"})
+            await self._write_http(conn, 413, _json_answer(None, (
+                STATUS_OVERSIZED, f"body of {length} bytes exceeds the "
+                f"{self.config.max_payload_bytes}-byte ceiling")))
             return
-        body = await reader.readexactly(length)
+        body = await conn.reader.readexactly(length)
         self.metrics.record_wire_in(len(body))
-        status = 200
-        try:
-            fields = protocol.decode_json_request(body)
-        except ProtocolError as exc:
-            self.metrics.record_wire_error()
-            await self._write_http(conn, 400, {"error": str(exc)})
-            return
-        if self._draining:
-            await self._write_http(
-                conn, 503, {"status": "shed", "error": "gateway draining"})
-            return
-        assert self._loop is not None and self._idle is not None
-        self._inflight += 1
-        self._idle.clear()
-        try:
-            def _submit() -> ResultHandle:
-                graph = EdgeListGraph.from_arrays(
-                    fields["n"], fields["u"], fields["v"]
-                )
-                deadline = fields["deadline"]
-                if deadline is None:
-                    deadline = self.config.default_deadline
-                return self.server.submit_request(
-                    CCRequest(graph=graph, deadline=deadline)
-                )
+        rid, outcome = await self._json_solve(body)
+        code = _HTTP_STATUS.get(_verdict(outcome)[0], 503)
+        await self._write_http(conn, code, _json_answer(rid, outcome))
 
-            try:
-                assert self._pool is not None
-                handle = await self._loop.run_in_executor(self._pool, _submit)
-            except (QueueFull, ServerClosed) as exc:
-                await self._write_http(
-                    conn, 503, {"status": "shed", "error": str(exc)})
-                return
-            except (ValueError, IndexError) as exc:
-                self.metrics.record_wire_error()
-                await self._write_http(
-                    conn, 400, {"status": "bad_frame", "error": str(exc)})
-                return
-            response = await self._bridge(handle)
-            doc = json.loads(protocol.encode_json_response(
-                fields["id"], response))
-            if response.status is not RequestStatus.OK:
-                status = 504 if response.status is RequestStatus.TIMEOUT \
-                    else 503
-            await self._write_http(conn, status, doc)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-
-    async def _write_http(self, conn: _Connection, status: int,
-                          doc: Dict[str, Any]) -> None:
-        body = (json.dumps(doc, separators=(",", ":")) + "\n").encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  411: "Length Required", 413: "Payload Too Large",
-                  503: "Service Unavailable",
-                  504: "Gateway Timeout"}.get(status, "OK")
+    async def _write_http(self, conn: _Connection, code: int,
+                          body: Union[bytes, Dict[str, Any]]) -> None:
+        if not isinstance(body, bytes):
+            body = (json.dumps(body, separators=(",", ":")) + "\n").encode()
         head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n"
         ).encode("latin-1")
-        async with conn.lock:
-            conn.writer.write(head + body)
-            await conn.writer.drain()
-        self.metrics.record_wire_out(len(head) + len(body))
+        await self._write_frame(conn, head + body)
 
 
 # ----------------------------------------------------------------------
@@ -717,10 +659,7 @@ def run_gateway(
     ``announce(host, port)`` is called once the listener is live;
     ``ready`` (if given) is set at the same moment.
     """
-    if config is None:
-        config = GatewayConfig(**overrides)
-    elif overrides:
-        config = replace(config, **overrides)
+    config = replace(config or GatewayConfig(), **overrides)
 
     async def _main() -> bool:
         loop = asyncio.get_running_loop()
@@ -771,11 +710,7 @@ class GatewayHandle:
     def __init__(self, server: Server,
                  config: Optional[GatewayConfig] = None,
                  **overrides: Any):
-        if config is None:
-            config = GatewayConfig(**overrides)
-        elif overrides:
-            config = replace(config, **overrides)
-        self.config = config
+        self.config = replace(config or GatewayConfig(), **overrides)
         self.server = server
         self.gateway: Optional[Gateway] = None
         self._ready = threading.Event()

@@ -53,6 +53,16 @@ class TestEdgeListGraph:
         assert (g_arr.src == g_edges.src).all()
         assert (g_arr.dst == g_edges.dst).all()
 
+    def test_from_arrays_rejects_n_past_int64(self):
+        import numpy as np
+
+        top = int(np.iinfo(np.int64).max)
+        assert EdgeListGraph.from_arrays(top, [0], [1]).edge_count == 1
+        with pytest.raises(ValueError, match="int64"):
+            EdgeListGraph.from_arrays(top + 1, [0], [1])
+        with pytest.raises(ValueError, match="int64"):
+            EdgeListGraph.from_edges(2**64, [(0, 1)])
+
     def test_from_arrays_rejects_mismatched_lengths(self):
         import numpy as np
 

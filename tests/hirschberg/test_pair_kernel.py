@@ -178,15 +178,20 @@ def _is_symmetric(src, dst):
 
 
 class TestBothOrientations:
-    """The ``src < dst`` path reads one orientation per edge, so the
-    unstamped graphs the library builds must carry both."""
+    """The ``src < dst`` path reads one orientation per edge, so an
+    unstamped graph must carry both; the constructors stamp theirs."""
 
     @pytest.mark.parametrize("n, p", [(1, 0.0), (17, 0.3), (64, 1.0)])
     def test_from_adjacency(self, n, p):
-        g = EdgeListGraph.from_adjacency(random_graph(n, p, seed=n))
-        assert not getattr(g, "_canonical", False)
+        # stamped: src holds each edge once, the pair set the array
+        # constructor builds, and the mirror carries both orientations
+        dense = random_graph(n, p, seed=n)
+        g = EdgeListGraph.from_adjacency(dense)
+        assert getattr(g, "_canonical", False)
+        rows, cols = np.nonzero(dense.matrix)
+        assert np.array_equal(g.src, EdgeListGraph.from_arrays(n, rows, cols).src)
+        assert g.edge_count == dense.edge_count
         assert _is_symmetric(g.src, g.dst)
-        assert np.count_nonzero(g.src < g.dst) == g.src.size // 2
 
     def test_union_edges(self):
         rng = np.random.default_rng(4)

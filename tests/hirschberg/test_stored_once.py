@@ -203,16 +203,22 @@ class TestLazyMirror:
 
 class TestEncodeUnstamped:
     def test_dense_converted_graph_roundtrips(self):
-        # from_adjacency keeps both orientations in row-major order, so
-        # its first half is not its pair set: the frame carries pairs()
-        # and is not stamped canonical
-        g = EdgeListGraph.from_adjacency(random_graph(30, 0.2, seed=4))
-        frame = encode_graph_request(g)
-        header = decode_request_header(frame[:REQUEST_HEADER_SIZE])
-        assert not header.canonical
-        rebuilt = graph_from_frame(header, frame[REQUEST_HEADER_SIZE:])
-        assert rebuilt.edge_count == g.edge_count
-        assert graph_fingerprint(rebuilt) == graph_fingerprint(g)
+        # a graph built directly from a matrix's nonzeros keeps both
+        # orientations in row-major order, so its first half is not its
+        # pair set: the frame carries pairs() and is not stamped
+        # canonical; from_adjacency stamps the same graph, and its frame
+        # is stamped
+        dense = random_graph(30, 0.2, seed=4)
+        rows, cols = np.nonzero(dense.matrix)
+        direct = EdgeListGraph(30, rows.astype(np.int64), cols.astype(np.int64))
+        for g, canonical in ((direct, False),
+                             (EdgeListGraph.from_adjacency(dense), True)):
+            frame = encode_graph_request(g)
+            header = decode_request_header(frame[:REQUEST_HEADER_SIZE])
+            assert header.canonical is canonical
+            rebuilt = graph_from_frame(header, frame[REQUEST_HEADER_SIZE:])
+            assert rebuilt.edge_count == g.edge_count == dense.edge_count
+            assert graph_fingerprint(rebuilt) == graph_fingerprint(g)
 
 
 @st.composite

@@ -45,6 +45,24 @@ def _connect(gateway):
     return sock, sock.makefile("rwb")
 
 
+def _read_to_eof(sock):
+    chunks = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(chunks)
+        chunks.append(data)
+
+
+def _http(address, raw):
+    """One HTTP exchange: (status code, JSON body or None)."""
+    sock = socket.create_connection(address)
+    sock.sendall(raw)
+    head, _, body = _read_to_eof(sock).partition(b"\r\n\r\n")
+    sock.close()
+    return int(head.split(b" ", 2)[1]), json.loads(body) if body else None
+
+
 def _read_response(stream):
     """One full response: (header, message_or_labels)."""
     head = stream.read(protocol.RESPONSE_HEADER_SIZE)
@@ -250,41 +268,28 @@ class TestJsonAndHttp:
         assert doc["status"] == "bad_frame"
         sock.close()
 
-    def _http(self, gateway, raw):
-        sock = socket.create_connection(gateway.address)
-        sock.sendall(raw)
-        chunks = []
-        while True:
-            data = sock.recv(65536)
-            if not data:
-                break
-            chunks.append(data)
-        sock.close()
-        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-        status = int(head.split(b" ", 2)[1])
-        return status, json.loads(body) if body else None
-
     def test_http_solve(self, gateway):
         body = json.dumps({"n": 4, "edges": [[0, 3]]}).encode()
-        status, doc = self._http(
-            gateway,
+        status, doc = _http(
+            gateway.address,
             b"POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: "
             + str(len(body)).encode() + b"\r\n\r\n" + body)
         assert status == 200
         assert doc["labels"] == [0, 1, 2, 0]
 
     def test_http_metrics_and_healthz(self, gateway):
-        status, doc = self._http(
-            gateway, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        status, doc = _http(
+            gateway.address, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
         assert status == 200 and "wire" in doc
-        status, doc = self._http(
-            gateway, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        status, doc = _http(
+            gateway.address, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
         assert status == 200 and doc["status"] == "ok"
 
     def test_http_unknown_route_404(self, gateway):
-        status, doc = self._http(
-            gateway, b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n")
+        status, doc = _http(
+            gateway.address, b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n")
         assert status == 404
+        assert doc["id"] is None and "no route" in doc["error"]
 
 
 class TestWireMetrics:
@@ -398,3 +403,168 @@ class TestConcurrentConnections:
         for t in threads:
             t.join()
         assert not errors
+
+
+def _ask(address, dialect, n, edges, rid=3):
+    """One solve in ``dialect``: (status name, labels, HTTP code).
+
+    JSON and HTTP answers must echo the request ``id``."""
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    if dialect == "binary":
+        sock = socket.create_connection(address)
+        stream = sock.makefile("rwb")
+        stream.write(protocol.encode_solve_request(n, u, v, request_id=rid))
+        stream.flush()
+        rh, body = _read_response(stream)
+        sock.close()
+        assert rh.request_id == rid
+        if rh.kind == protocol.KIND_LABELS:
+            return "ok", body, None
+        return protocol.STATUS_NAMES[rh.status], None, None
+    doc = json.dumps({"id": rid, "n": n, "edges": edges}).encode()
+    if dialect == "json":
+        sock = socket.create_connection(address)
+        stream = sock.makefile("rwb")
+        stream.write(doc + b"\n")
+        stream.flush()
+        answer, code = json.loads(stream.readline()), None
+        sock.close()
+    else:
+        code, answer = _http(address, b"POST /solve HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: " + str(len(doc)).encode()
+                             + b"\r\n\r\n" + doc)
+    assert answer["id"] == rid
+    return answer["status"], answer.get("labels"), code
+
+
+_DIALECTS = ("binary", "json", "http")
+_EDGES = [[0, 1], [2, 3], [1, 2], [5, 6]]
+_ORACLE = [0, 0, 0, 0, 4, 5, 5]
+
+
+def _errors(server):
+    return server.metrics_snapshot()["wire"]["protocol_errors"]
+
+
+class TestDialectParity:
+    """Every dialect answers every outcome of the one solve path with a
+    typed status, and keeps serving afterwards."""
+
+    HTTP = {"ok": 200, "shed": 503, "bad_frame": 400, "error": 500}
+
+    def _check(self, gw, dialect, expected, answer):
+        status, _, code = answer
+        assert status == expected
+        if dialect == "http":
+            assert code == self.HTTP[expected]
+        # the gateway answers a normal request afterwards
+        status, labels, _ = _ask(gw.address, dialect, 7, _EDGES)
+        assert status == "ok" and list(labels) == _ORACLE
+
+    @pytest.mark.parametrize("dialect", _DIALECTS)
+    def test_ok(self, gateway, dialect):
+        self._check(gateway, dialect, "ok",
+                    _ask(gateway.address, dialect, 7, _EDGES))
+
+    @pytest.mark.parametrize("dialect", _DIALECTS)
+    def test_shed(self, dialect):
+        config = ServerConfig(workers=1, max_wait=0.5, max_queue=1,
+                              admission="shed")
+        with Server(config) as server, GatewayHandle(server) as gw:
+            # a request held by the batching window fills the queue
+            held = server.submit(random_edge_list(16, 20, seed=1))
+            answer = _ask(gw.address, dialect, 7, _EDGES)
+            assert held.response(timeout=30).ok
+            self._check(gw, dialect, "shed", answer)
+
+    @pytest.mark.parametrize("dialect", _DIALECTS)
+    def test_bad_input(self, server, gateway, dialect):
+        before = _errors(server)
+        self._check(gateway, dialect, "bad_frame",
+                    _ask(gateway.address, dialect, 4, [[0, 9]]))
+        assert _errors(server) == before + 1
+
+    @pytest.mark.parametrize("dialect", _DIALECTS)
+    def test_exception_in_submit(self, server, gateway, dialect,
+                                 monkeypatch):
+        def boom(request):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(server, "submit_request", boom)
+        answer = _ask(gateway.address, dialect, 7, _EDGES)
+        monkeypatch.undo()
+        self._check(gateway, dialect, "error", answer)
+
+    @pytest.mark.parametrize("dialect", _DIALECTS)
+    def test_draining(self, gateway, dialect):
+        gateway.gateway._draining = True
+        try:
+            answer = _ask(gateway.address, dialect, 7, _EDGES)
+        finally:
+            gateway.gateway._draining = False
+        self._check(gateway, dialect, "shed", answer)
+
+    @pytest.mark.parametrize("dialect", _DIALECTS)
+    def test_n_past_int64_is_bad_input(self, server, gateway, dialect):
+        before = _errors(server)
+        self._check(gateway, dialect, "bad_frame",
+                    _ask(gateway.address, dialect, 2**63, [[0, 1]]))
+        assert _errors(server) == before + 1
+
+
+class TestHalfCloseAndTruncation:
+    def test_half_closed_connection_gets_every_answer(self, gateway):
+        a = random_edge_list(100, 200, seed=1)
+        b = random_edge_list(120, 240, seed=2)
+        sock, stream = _connect(gateway)
+        stream.write(protocol.encode_graph_request(a, request_id=1))
+        stream.write(protocol.encode_graph_request(b, request_id=2))
+        stream.flush()
+        sock.shutdown(socket.SHUT_WR)
+        got = {}
+        for _ in range(2):
+            rh, labels = _read_response(stream)
+            got[rh.request_id] = labels
+        assert stream.read(1) == b""  # then the gateway closes
+        sock.close()
+        assert np.array_equal(got[1], oracle_labels(a))
+        assert np.array_equal(got[2], oracle_labels(b))
+
+    @pytest.mark.parametrize("cut", ["first_header", "later_header",
+                                     "payload"])
+    def test_truncated_frame_counts_one_protocol_error(self, server,
+                                                       gateway, cut):
+        g = random_edge_list(50, 100, seed=3)
+        frame = protocol.encode_graph_request(g, request_id=1)
+        data = {
+            "first_header": frame[:10],
+            "later_header": frame + frame[:10],
+            "payload": frame[:protocol.REQUEST_HEADER_SIZE + 20],
+        }[cut]
+        before = _errors(server)
+        sock = socket.create_connection(gateway.address)
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        _read_to_eof(sock)  # the gateway closes once it has counted
+        sock.close()
+        assert _errors(server) == before + 1
+
+    def test_clean_eof_between_frames_is_not_an_error(self, server,
+                                                      gateway):
+        g = random_edge_list(50, 100, seed=3)
+        before = _errors(server)
+        sock = socket.create_connection(gateway.address)
+        sock.sendall(protocol.encode_graph_request(g, request_id=1))
+        sock.shutdown(socket.SHUT_WR)
+        assert _read_to_eof(sock)  # the answer, then EOF
+        sock.close()
+        assert _errors(server) == before
+
+
+class TestAdmitMetricCoversEveryDialect:
+    def test_http_solves_count_in_accept_to_admit(self, server, gateway):
+        for dialect in _DIALECTS:
+            assert _ask(gateway.address, dialect, 7, _EDGES)[0] == "ok"
+        snap = server.metrics_snapshot()["wire"]
+        assert snap["accept_to_admit"]["count"] == 3
