@@ -336,15 +336,11 @@ class EdgeListGraph:
         g = graph if isinstance(graph, AdjacencyMatrix) else AdjacencyMatrix(np.asarray(graph))
         # flat indices of the 0/1 bytes split into (row, col): the same
         # row-major pairs as np.nonzero, about 3x faster on dense input;
-        # the row < col ones are already the sorted duplicate-free pairs.
-        # Split as int32 where the indices fit: it writes half the memory
-        flat = np.flatnonzero(g.matrix.view(np.bool_))
-        if g.n * g.n <= 2**31:
-            flat = flat.astype(np.int32)
+        # the row < col ones are already the sorted duplicate-free pairs
+        flat = np.flatnonzero(g.matrix.view(np.bool_)).astype(np.int64, copy=False)
         rows, cols = np.divmod(flat, max(g.n, 1))
-        del flat
         upper = rows < cols
-        src = np.concatenate([rows[upper], cols[upper]], dtype=np.int64)
+        src = np.concatenate([rows[upper], cols[upper]])
         return _stamped(g.n, src)
 
 

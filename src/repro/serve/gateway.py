@@ -30,7 +30,7 @@ outcome                                     HTTP
 ``timeout``                                 504
 ==========================================  ====
 
-Bad input and binary frames torn by EOF count in ``protocol_errors``.
+Torn binary frames, short HTTP bodies and bad input add to ``protocol_errors``.
 
 Everything behind the socket is the existing in-process pipeline: the
 gateway builds an :class:`~repro.hirschberg.edgelist.EdgeListGraph`
@@ -378,6 +378,7 @@ class Gateway:
                 except ProtocolError as exc:
                     self.metrics.record_wire_error()
                     self.metrics.record_wire_in(len(head), frames=0)
+                    at_boundary = True  # counted: EOF in its drain adds none
                     if not await self._reject_frame(conn, head, exc):
                         return
                 else:
@@ -615,7 +616,11 @@ class Gateway:
                 STATUS_OVERSIZED, f"body of {length} bytes exceeds the "
                 f"{self.config.max_payload_bytes}-byte ceiling")))
             return
-        body = await conn.reader.readexactly(length)
+        try:
+            body = await conn.reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            self.metrics.record_wire_error()
+            return
         self.metrics.record_wire_in(len(body))
         rid, outcome = await self._json_solve(body)
         code = _HTTP_STATUS.get(_verdict(outcome)[0], 503)

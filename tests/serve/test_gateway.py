@@ -532,15 +532,23 @@ class TestHalfCloseAndTruncation:
         assert np.array_equal(got[2], oracle_labels(b))
 
     @pytest.mark.parametrize("cut", ["first_header", "later_header",
-                                     "payload"])
+                                     "payload", "rejected_payload",
+                                     "http_body"])
     def test_truncated_frame_counts_one_protocol_error(self, server,
                                                        gateway, cut):
         g = random_edge_list(50, 100, seed=3)
         frame = protocol.encode_graph_request(g, request_id=1)
+        rejected = bytearray(frame)
+        rejected[4] = 200  # unknown dtype: counted, then its payload drained
+        doc = json.dumps({"id": 1, "n": 4, "edges": [[0, 1]]}).encode()
         data = {
             "first_header": frame[:10],
             "later_header": frame + frame[:10],
             "payload": frame[:protocol.REQUEST_HEADER_SIZE + 20],
+            "rejected_payload": bytes(
+                rejected[:protocol.REQUEST_HEADER_SIZE + 20]),
+            "http_body": b"POST /solve HTTP/1.1\r\nContent-Length: "
+                         + str(len(doc)).encode() + b"\r\n\r\n" + doc[:5],
         }[cut]
         before = _errors(server)
         sock = socket.create_connection(gateway.address)
