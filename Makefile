@@ -17,7 +17,7 @@ reports:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 # What a commit must survive locally: the repo-specific linter over the
-# files git considers changed (warm cache makes this sub-second), plus
+# files git considers changed (a few seconds over src/), plus
 # tests/check: the linter's own suite and the runtime purity and
 # sanitizer tests that cover the GCA's owner-write contract.  Wire it
 # to git via .pre-commit-config.yaml or plain `make precommit`.

@@ -17,8 +17,7 @@ Python enforces by itself:
 :mod:`repro.check.cfg` / :mod:`repro.check.dataflow` add per-function
 control-flow graphs and a forward fixpoint for the flow-sensitive
 rules; :mod:`repro.check.callgraph` builds the cross-module summaries
-behind the project-wide rules and the incremental cache
-(:mod:`repro.check.cache`); :mod:`repro.check.rules` holds the
+behind the project-wide rules; :mod:`repro.check.rules` holds the
 repo-specific rules; :mod:`repro.check.sanitizer` holds the shm
 sanitizer, which stamps write epochs on shared slabs at runtime.
 

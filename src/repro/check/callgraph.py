@@ -3,12 +3,10 @@
 Per-file analysis alone cannot see a blocking call two frames below an
 ``async def``, an inverted lock order split across two modules, or a
 memmap handed to a helper that forgets to unmap it.  This module builds
-a compact, **JSON-serialisable** :class:`ModuleSummary` per file --
-imports, function call sites, blocking sites, lock-order edges and
-parameter dispositions -- and a :class:`ProjectIndex` that resolves
-call tokens across the summaries.  Because summaries round-trip through
-JSON they are exactly what the incremental cache stores: a warm run
-rebuilds the whole-project index without re-parsing unchanged files.
+a compact :class:`ModuleSummary` per file -- imports, function call
+sites, blocking sites, lock-order edges and parameter dispositions --
+and a :class:`ProjectIndex` that resolves call tokens across the
+summaries.
 
 :class:`ProjectRule` is the cross-module counterpart of
 :class:`~repro.check.engine.LintRule`: it runs once per engine
@@ -18,7 +16,7 @@ invocation over the full index instead of once per module.
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -38,8 +36,6 @@ from repro.check.engine import (
     param_names,
     walk_function,
 )
-
-SUMMARY_VERSION = 1
 
 #: Calls that take a coroutine/callable and own its execution.
 _WRAPPERS = frozenset({
@@ -118,45 +114,6 @@ class ModuleSummary:
     from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     top_imports: List[Tuple[str, int, int]] = field(default_factory=list)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        payload = asdict(self)
-        payload["version"] = SUMMARY_VERSION
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ModuleSummary":
-        if payload.get("version") != SUMMARY_VERSION:
-            raise ValueError("stale summary payload")
-        functions = {}
-        for qual, raw in payload["functions"].items():
-            functions[qual] = FunctionInfo(
-                qualname=raw["qualname"],
-                line=raw["line"],
-                col=raw["col"],
-                is_async=raw["is_async"],
-                class_name=raw["class_name"],
-                params=list(raw["params"]),
-                calls=[CallSite(**c) for c in raw["calls"]],
-                blocking=[BlockingSite(**b) for b in raw["blocking"]],
-                lock_orders=[LockOrder(**o) for o in raw["lock_orders"]],
-                closes_params=list(raw["closes_params"]),
-                escapes_params=list(raw["escapes_params"]),
-                forwards=[tuple(f) for f in raw["forwards"]],
-                memmap_handoffs=[
-                    tuple(h) for h in raw["memmap_handoffs"]
-                ],
-            )
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            import_aliases=dict(payload["import_aliases"]),
-            from_imports={
-                k: tuple(v) for k, v in payload["from_imports"].items()
-            },
-            top_imports=[tuple(t) for t in payload["top_imports"]],
-            functions=functions,
-        )
 
 
 def module_name_for(path: str) -> str:
@@ -452,7 +409,7 @@ def _collect_memmap_handoffs(fn: ast.AST, info: FunctionInfo) -> None:
 
 
 def build_module_summary(module: Module) -> ModuleSummary:
-    """Summarise one parsed module for the project rules + cache."""
+    """Summarise one parsed module for the project rules."""
     summary = ModuleSummary(
         module=module_name_for(module.path), path=module.path
     )

@@ -55,26 +55,6 @@ class Finding:
         )
 
 
-def suppression_table(lines: Sequence[str]) -> Dict[int, Set[str]]:
-    """Build the line -> allowed-rule-ids table for one file's lines
-    (shared by :class:`Module` and the cached-file path, which applies
-    suppressions to project findings without re-parsing)."""
-    table: Dict[int, Set[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(text)
-        if not match:
-            continue
-        ids = {
-            part.strip()
-            for part in match.group(1).split(",")
-            if part.strip()
-        }
-        table.setdefault(lineno, set()).update(ids)
-        if text.lstrip().startswith("#"):
-            table.setdefault(lineno + 1, set()).update(ids)
-    return table
-
-
 def is_suppressed_by(
     finding: "Finding", table: Dict[int, Set[str]]
 ) -> bool:
@@ -99,7 +79,20 @@ class Module:
         so the comment can sit above long statements.
         """
         if self._suppressions is None:
-            self._suppressions = suppression_table(self.lines)
+            table: Dict[int, Set[str]] = {}
+            for lineno, text in enumerate(self.lines, start=1):
+                match = _SUPPRESS_RE.search(text)
+                if not match:
+                    continue
+                ids = {
+                    part.strip()
+                    for part in match.group(1).split(",")
+                    if part.strip()
+                }
+                table.setdefault(lineno, set()).update(ids)
+                if text.lstrip().startswith("#"):
+                    table.setdefault(lineno + 1, set()).update(ids)
+            self._suppressions = table
         return self._suppressions
 
     def is_suppressed(self, finding: Finding) -> bool:
@@ -198,8 +191,6 @@ class CheckReport:
     parse_errors: List[Finding] = field(default_factory=list)
     rules_run: List[str] = field(default_factory=list)
     duration_s: float = 0.0
-    cache_hits: int = 0
-    files_reanalyzed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -237,10 +228,6 @@ class CheckReport:
             f"  files scanned: {self.files_scanned}, suppressed: "
             f"{self.suppressed}, runtime: {self.duration_s * 1e3:.1f} ms"
         )
-        lines.append(
-            f"  cache hits: {self.cache_hits}, reanalyzed: "
-            f"{self.files_reanalyzed}"
-        )
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -261,8 +248,6 @@ class CheckReport:
                 "suppressed": self.suppressed,
                 "per_rule": self.per_rule_counts(),
                 "duration_s": self.duration_s,
-                "cache_hits": self.cache_hits,
-                "files_reanalyzed": self.files_reanalyzed,
             },
         }
 
@@ -274,8 +259,7 @@ class CheckEngine:
     project rules (``rule.project`` is True); the engine partitions
     them itself.  ``config`` is the ``[tool.repro-check]`` table --
     pass None to auto-discover the nearest ``pyproject.toml`` above the
-    scanned paths.  ``cache_path`` enables the content-addressed
-    incremental cache for :meth:`check_paths`.
+    scanned paths.
     """
 
     def __init__(
@@ -283,7 +267,6 @@ class CheckEngine:
         rules: Optional[Sequence[LintRule]] = None,
         *,
         config: Optional[dict] = None,
-        cache_path: Optional[str] = None,
     ) -> None:
         if rules is None:
             from repro.check.rules import all_rules
@@ -297,7 +280,6 @@ class CheckEngine:
                 )
         self.rules = list(rules)
         self.config = config
-        self.cache_path = cache_path
 
     @property
     def local_rules(self) -> List[LintRule]:
@@ -359,12 +341,6 @@ class CheckEngine:
         paths (``--changed-only``); every file is still summarised so
         the cross-module rules see the whole project.
         """
-        from repro.check.cache import (
-            CheckCache,
-            findings_to_json,
-            pack_fingerprint,
-            source_digest,
-        )
         from repro.check.callgraph import (
             ModuleSummary,
             ProjectIndex,
@@ -379,83 +355,31 @@ class CheckEngine:
             from repro.check.rules.layering import load_check_config
 
             config = load_check_config(paths[0] if paths else None)
-        files = self._collect(paths)
-        cache = None
-        if self.cache_path:
-            fingerprint = pack_fingerprint(
-                sorted(r.rule_id for r in self.rules), config
-            )
-            cache = CheckCache(self.cache_path, fingerprint)
 
         summaries: Dict[str, "ModuleSummary"] = {}
         tables: Dict[str, Dict[int, Set[str]]] = {}
         collected: List[Finding] = []
-        for file_path in files:
+        for file_path in self._collect(paths):
             posix = file_path.as_posix()
             report.files_scanned += 1
-            source = file_path.read_text()
-            digest = source_digest(source)
-            entry = cache.get(posix, digest) if cache else None
-            if entry is not None:
-                try:
-                    if entry.get("parse_error"):
-                        report.cache_hits += 1
-                        report.parse_errors.append(
-                            Finding(**entry["parse_error"])
-                        )
-                        continue
-                    summaries[posix] = ModuleSummary.from_json(
-                        entry["summary"]
-                    )
-                except (KeyError, TypeError, ValueError):
-                    entry = None  # torn/stale entry: recompute
-                else:
-                    report.cache_hits += 1
-                    report.suppressed += entry["suppressed"]
-                    tables[posix] = {
-                        int(line): set(ids)
-                        for line, ids in entry["suppressions"].items()
-                    }
-                    collected.extend(
-                        Finding(**f) for f in entry["findings"]
-                    )
-                    continue
-            report.files_reanalyzed += 1
             try:
-                module = Module(posix, source)
+                module = Module(posix, file_path.read_text())
             except SyntaxError as exc:
-                parse_finding = Finding(
+                report.parse_errors.append(Finding(
                     rule_id="PARSE",
                     severity="error",
                     path=posix,
                     line=exc.lineno or 1,
                     col=(exc.offset or 0) + 1,
                     message=f"could not parse: {exc.msg}",
-                )
-                report.parse_errors.append(parse_finding)
-                if cache:
-                    cache.put(posix, digest, {
-                        "parse_error": findings_to_json([parse_finding])[0],
-                    })
+                ))
                 continue
             findings, suppressed = self._run_local(module)
-            summary = build_module_summary(module)
-            summaries[posix] = summary
+            summaries[posix] = build_module_summary(module)
             tables[posix] = module.suppressions()
             report.suppressed += suppressed
             collected.extend(findings)
-            if cache:
-                cache.put(posix, digest, {
-                    "findings": findings_to_json(findings),
-                    "suppressed": suppressed,
-                    "suppressions": {
-                        str(line): sorted(ids)
-                        for line, ids in module.suppressions().items()
-                    },
-                    "summary": summary.to_json(),
-                })
 
-        # cross-module rules always run, over cached + fresh summaries
         index = ProjectIndex(summaries, config)
         for rule in self.project_rules:
             rule.configure(config)
@@ -473,9 +397,6 @@ class CheckEngine:
             ]
         collected.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         report.findings = collected
-        if cache:
-            cache.prune([p.as_posix() for p in files])
-            cache.save()
         report.duration_s = time.perf_counter() - started
         return report
 

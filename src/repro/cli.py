@@ -555,8 +555,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import CheckEngine, all_rules
 
     only = [r for r in args.rules.split(",") if r] or None
-    cache_path = None if args.no_cache else args.cache
-    engine = CheckEngine(all_rules(only=only), cache_path=cache_path)
+    engine = CheckEngine(all_rules(only=only))
     restrict: Optional[Set[str]] = None
     if args.changed_only:
         restrict = _changed_python_files(args.paths)
@@ -822,12 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report findings only for files git considers "
                             "changed (all files are still summarized so "
                             "cross-module rules stay sound)")
-    check.add_argument("--cache", default=".check_cache.json",
-                       metavar="PATH",
-                       help="incremental cache file (default: "
-                            ".check_cache.json)")
-    check.add_argument("--no-cache", action="store_true",
-                       help="disable the incremental cache")
     check.set_defaults(func=_cmd_check)
 
     return parser

@@ -20,8 +20,9 @@ host (EXPERIMENTS.md, E28), contracting beat every dense engine at
 least 5x on edge-list input.  On dense adjacency input the ``batched``
 field, which works only on the edges still crossing two labels, leads
 at ``p = 1`` from ``n = 64`` and at ``p = 0.5`` from ``n = 128``
-(1.4-15x, E37); at ``p = 0.01`` contracting still leads by 1.2-1.5x.
-No rule routes adjacency input by density yet.  ``vectorized`` runs the same fused field kernel at a
+(1.4-15x, E37), and since each matrix is read once it leads at
+``p = 0.01`` too (1.2-2.2x, E38).  No rule routes adjacency input by
+density yet.  ``vectorized`` runs the same fused field kernel at a
 batch of one (E30).  The dense engines stay
 selectable by name as the reproduction of the paper's architecture (and
 ``batched`` as the field path for many same-size graphs); ``edgelist``
@@ -54,18 +55,14 @@ DISPATCHABLE = ("contracting", "interpreter", "sharded")
 
 @dataclass(frozen=True)
 class CostModel:
-    """Measured time constants (seconds) and memory parameters."""
+    """A measured time constant (seconds) and memory parameters."""
 
     #: contracting engine: seconds per ``n + 2m`` unit of one whole
     #: solve.  Measured at ``n = 10^6``, ``m = 5 * 10^6`` uniform random
     #: pairs on a 2-core x86_64 host (NumPy 2.4): 6.6e-8 to 8.6e-8 over
-    #: three seeds.  The serve planner's flush estimate and
-    #: :func:`explain_choice`'s prediction use it.
+    #: three seeds.  Only :func:`explain_choice`'s prediction reads it;
+    #: no rule decides on time.
     contracting_unit: float = 7.5e-8
-    #: fixed cost of one ``connected_components`` call (validation,
-    #: graph conversion, result assembly); a coalesced serve flush pays
-    #: it once for all its members.
-    request_overhead: float = 2.5e-5
     #: interpreter footprint per cell (a Python object per cell).
     interpreter_bytes_per_cell: float = 800.0
     #: in-RAM contracting engine: resident bytes per directed edge (edge

@@ -28,7 +28,7 @@ Modules
     value types and the terminal :class:`RequestStatus`.
 ``repro.serve.scheduler``
     The thread-free batching policy: buckets, flush triggers (a free
-    worker, a full bucket, deadline pressure, or an opt-in
+    worker, a full bucket, a request with a deadline, or an opt-in
     ``max_wait``), engine choice.
 ``repro.serve.workers``
     The solve paths the worker threads run: coalesced unions and solo

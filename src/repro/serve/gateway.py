@@ -30,7 +30,10 @@ outcome                                     HTTP
 ``timeout``                                 504
 ==========================================  ====
 
-Torn binary frames, short HTTP bodies and bad input add to ``protocol_errors``.
+Torn binary frames, short HTTP bodies and bad input add to
+``protocol_errors``, and so does a JSON line or HTTP header block longer
+than the stream limit, which is answered ``bad_frame`` / 400 before the
+connection closes.
 
 Everything behind the socket is the existing in-process pipeline: the
 gateway builds an :class:`~repro.hirschberg.edgelist.EdgeListGraph`
@@ -548,13 +551,25 @@ class Gateway:
 
     # -- JSON dialects: lines and the HTTP body ------------------------
     async def _json_loop(self, conn: _Connection, first: bytes) -> None:
+        """Answer JSON lines until EOF; a line past the stream limit is
+        answered ``bad_frame``, counted once and closes the connection."""
         reader = conn.reader
-        line = first + await reader.readline()
-        while line.strip():
+        line = first
+        while True:
+            try:
+                line += await reader.readline()
+            except ValueError:  # the line overran _STREAM_LIMIT
+                self.metrics.record_wire_error()
+                await self._write_frame(conn, _json_answer(None, (
+                    STATUS_BAD_FRAME,
+                    f"JSON line exceeds the {_STREAM_LIMIT}-byte limit")))
+                return
+            if not line.strip():
+                return
             self.metrics.record_wire_in(len(line))
             rid, outcome = await self._json_solve(line)
             await self._write_frame(conn, _json_answer(rid, outcome))
-            line = await reader.readline()
+            line = b""
 
     async def _json_solve(self, body: bytes) -> Tuple[Any, _Outcome]:
         """One JSON request -> its ``id`` and outcome."""
@@ -574,8 +589,14 @@ class Gateway:
         reader = conn.reader
         try:
             raw = first + await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.LimitOverrunError, asyncio.IncompleteReadError):
+        except asyncio.IncompleteReadError:
             self.metrics.record_wire_error()
+            return
+        except asyncio.LimitOverrunError:
+            self.metrics.record_wire_error()
+            await self._write_http(conn, 400, _json_answer(None, (
+                STATUS_BAD_FRAME,
+                f"header block exceeds the {_STREAM_LIMIT}-byte limit")))
             return
         self.metrics.record_wire_in(len(raw), frames=0)
         head = raw.decode("latin-1", errors="replace")

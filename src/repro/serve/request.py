@@ -26,7 +26,7 @@ Statuses are terminal and exclusive:
     server was stopped without draining.
 ``ERROR``
     The engine raised; ``CCResponse.error`` holds the message (after
-    exhausting the configured retries).
+    exhausting its retry).
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class CCRequest:
         inputs; solved solo on a sparse engine).
     deadline:
         Latency budget in seconds from submission, or ``None`` for the
-        server's default (possibly unbounded).  The scheduler flushes
-        early under deadline pressure and drops requests whose budget
-        expires while queued.
+        server's default (possibly unbounded).  The scheduler never
+        holds a request with a deadline for an opt-in ``max_wait``, and
+        drops requests whose budget expires while queued.
     priority:
         Tie-breaker when a bucket overflows its batch: lower values are
         packed first (after deadline urgency).  Default 0.

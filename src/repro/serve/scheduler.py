@@ -9,34 +9,31 @@ paid once per batch instead of once per request).  This module holds the
 :class:`~repro.serve.server.Server` owns the threads):
 
 * **Bucketing** -- dense (adjacency) and sparse (edge-list) requests
-  are grouped by kind and node count, optionally padded up to the next
-  power of two (:attr:`ServerConfig.pad_buckets`) so near-miss sizes
-  share a flush.  The union keeps every member at its own size, so
-  nothing is padded at solve time and no dense graph is stacked.
-* **Batch-size cap** -- one flush holds at most ``coalesce_units`` of
-  union work (``n + 2m`` summed over its members), clamped by
-  ``max_batch``.
-* **Flush triggers** -- a bucket flushes on a free worker, a full
-  bucket, deadline pressure, or an opt-in ``max_wait``.  Each idle
-  worker of the server asks :meth:`BatchPlanner.take_ready` for one
-  flush, the most urgent ready bucket (tightest deadline, then oldest
-  member), and otherwise waits out :meth:`BatchPlanner.next_due`.
-  With the default ``max_wait=0`` any queued bucket is ready as soon
-  as a worker is free; while every worker is busy, requests stay here
-  and keep coalescing up to the batch-size cap (the adaptive batching
-  of Clipper, Crankshaw et al., NSDI 2017).  A positive ``max_wait`` is a
-  minimum hold: a bucket that is neither full nor under *deadline
-  pressure* (some member's remaining budget no longer covers the
-  estimated flush time plus margin) waits until its oldest member has
-  been held that long.
-* **Engine choice** -- a flush with more than one member, dense or
-  sparse, runs coalesced ``"contracting"``; a single request goes
-  through the dispatcher's rule table
-  (:func:`~repro.core.dispatch.choose_engine`), which sends a request
-  too big for memory to the sharded engine.  The flush estimate behind
-  deadline pressure is the union's ``n + 2m`` units times
-  :attr:`~repro.core.dispatch.CostModel.contracting_unit` plus one
-  call's :attr:`~repro.core.dispatch.CostModel.request_overhead`.
+  are grouped by kind and node count, padded up to the next power of
+  two so near-miss sizes share a flush.  The union keeps every member
+  at its own size, so nothing is padded at solve time and no dense
+  graph is stacked.
+* **Batch-size cap** -- one flush holds at most :data:`COALESCE_UNITS`
+  of union work (``n + 2m`` summed over its members) and at most
+  :data:`MAX_BATCH` members.
+* **Flush triggers** -- a bucket is ready when it is full, when its
+  oldest member has been held ``max_wait``, when it holds a member
+  with a deadline, or on drain.  Each idle worker of the server asks
+  :meth:`BatchPlanner.take_ready` for one flush, the most urgent ready
+  bucket (tightest deadline, then oldest member), and otherwise waits
+  out :meth:`BatchPlanner.next_due`.  With the default ``max_wait=0``
+  any queued bucket is ready as soon as a worker is free; while every
+  worker is busy, requests stay here and keep coalescing up to the
+  batch-size cap (the adaptive batching of Clipper, Crankshaw et al.,
+  NSDI 2017).  A positive ``max_wait`` is an opt-in minimum hold for
+  requests without a deadline; a request with one is never held, so
+  no flush-time prediction is needed to keep it on time.
+* **Engine choice** -- :func:`flush_engine`: a flush with more than one
+  member, dense or sparse, runs coalesced ``"contracting"``; a single
+  request goes through the dispatcher's rule table
+  (:func:`~repro.core.dispatch.choose_engine`) on its own ``(n, m)``,
+  under the same host-probed model as ``engine="auto"``, which sends a
+  request too big for memory to the sharded engine.
 """
 
 from __future__ import annotations
@@ -45,9 +42,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.api import _graph_shape
-from repro.core.dispatch import CostModel, DEFAULT_COST_MODEL, choose_engine
+from repro.core.api import _graph_shape, _probed_cost_model
+from repro.core.dispatch import choose_engine
 from repro.serve.request import CCRequest, ResultHandle
+
+#: Hard occupancy cap of one flush.
+MAX_BATCH = 512
+
+#: Work budget (``n + 2m`` summed over members) of one coalesced flush.
+#: The contracting engine's level count grows with the union's node
+#: count, so past a few tens of thousands of units a bigger union costs
+#: more per member than it amortises -- tuned to that knee, not to
+#: memory.
+COALESCE_UNITS = 32_768
 
 
 @dataclass(slots=True)
@@ -75,8 +82,8 @@ class PendingRequest:
         Counting the edges of a dense adjacency is an O(n^2) reduction;
         doing it on the submission hot path would cost more than serving
         the request.  Edge-list requests carry it for free; dense ones
-        pay only when something (solo dispatch, a pricing sample)
-        actually asks.
+        pay only when something (bucket units, solo dispatch) actually
+        asks.
         """
         if self.m_known is None:
             self.m_known = _graph_shape(self.request.graph)[1]
@@ -98,26 +105,25 @@ class BucketKey:
     """Identity of one batching bucket.
 
     ``kind`` is ``"dense"`` (adjacency requests) or ``"sparse"``
-    (edge-list requests); ``size`` is the -- possibly padded -- node
-    count.
+    (edge-list requests); ``size`` is the node count padded up to a
+    power of two.
     """
 
     kind: str
     size: int
 
 
-def sample_mean_m(members: List[PendingRequest], k: int = 4) -> float:
-    """Mean edge count of (a sample of) one bucket's members.
-
-    Sampling keeps the lazy :attr:`PendingRequest.m` measurement O(k)
-    per flush instead of O(B) -- same-bucket members have the same node
-    count, so a small sample prices the batch well enough.
-    """
-    if not members:
-        return 0.0
-    if len(members) > k:
-        members = members[:: max(1, len(members) // k)][:k]
-    return sum(p.m for p in members) / len(members)
+def flush_engine(batch: List[PendingRequest]) -> str:
+    """Engine for one flush: ``"contracting"`` over the members'
+    disjoint union when there is more than one member, else the
+    dispatcher's rule table on the single request's own ``(n, m)``
+    under the model ``engine="auto"`` uses."""
+    if batch[0].n == 0:
+        return "vectorized"  # degenerate; resolved without an engine
+    if len(batch) > 1:
+        return "contracting"
+    pending = batch[0]
+    return choose_engine(pending.n, pending.m, model=_probed_cost_model())
 
 
 @dataclass
@@ -167,79 +173,30 @@ class BatchPlanner:
 
     Parameters
     ----------
-    max_batch:
-        Hard occupancy cap per flush.
     max_wait:
         Opt-in minimum hold in seconds: a bucket that is neither full
-        nor under deadline pressure is not flushed before its oldest
-        member has been held this long, even with a worker free.  The
-        default 0 dispatches as soon as a worker is free.
-    deadline_margin:
-        Safety margin (seconds) subtracted from a request's slack when
-        testing deadline pressure.
-    pad_buckets:
-        Pad node counts up to powers of two so near-miss sizes share a
-        bucket.
-    coalesce_units:
-        Work budget (``n + 2m`` summed over members) of one coalesced
-        flush.  The contracting engine's level count grows with the
-        union's node count, so past a few tens of thousands of units a
-        bigger union costs more per member than it amortises -- the
-        default is tuned to that knee, not to memory.
-    model:
-        The cost model behind the flush estimate (deadline pressure)
-        and a single request's rule-table dispatch.
+        nor holding a member with a deadline is not flushed before its
+        oldest member has been held this long, even with a worker free.
+        The default 0 dispatches as soon as a worker is free.
     """
 
-    def __init__(
-        self,
-        max_batch: int = 512,
-        max_wait: float = 0.0,
-        deadline_margin: float = 0.005,
-        pad_buckets: bool = True,
-        coalesce_units: int = 32_768,
-        model: Optional[CostModel] = None,
-    ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, max_wait: float = 0.0):
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        if coalesce_units < 1:
-            raise ValueError(
-                f"coalesce_units must be >= 1, got {coalesce_units}"
-            )
-        self.max_batch = max_batch
         self.max_wait = max_wait
-        self.deadline_margin = deadline_margin
-        self.pad_buckets = pad_buckets
-        self.coalesce_units = coalesce_units
-        self.model = model or DEFAULT_COST_MODEL
         self._buckets: Dict[Tuple[bool, int], Bucket] = {}
         self._queued = 0
 
     # -- bucket membership --------------------------------------------
-    def key_for(self, pending: PendingRequest) -> BucketKey:
-        size = pending.n
-        if self.pad_buckets and size > 1:
-            # inline next_power_of_two: this runs once per submit
-            size = 1 << (size - 1).bit_length()
-        return BucketKey("sparse" if pending.sparse else "dense", size)
-
-    def bucket_cap(self, key: BucketKey,
-                   members: Optional[List[PendingRequest]] = None) -> int:
-        """Occupancy cap for one flush of the bucket ``key``: at most
-        ``coalesce_units`` of union work (``n + 2m`` per member,
-        measured over the actual members) so one flush stays at the
+    @staticmethod
+    def _units_cap(units: int, count: int) -> int:
+        """Occupancy cap for one flush of a bucket holding ``count``
+        members and ``units`` of union work (``n + 2m`` per member): at
+        most :data:`COALESCE_UNITS` of work, so one flush stays at the
         knee where amortisation pays."""
-        if not members:
-            return self.max_batch
-        units = sum(p.n + 2 * p.m for p in members)
-        return self._units_cap(units, len(members))
-
-    def _units_cap(self, units: int, count: int) -> int:
         mean_units = units / count if count else 1.0
-        fit = int(self.coalesce_units // max(mean_units, 1.0))
-        return max(1, min(self.max_batch, fit))
+        fit = int(COALESCE_UNITS // max(mean_units, 1.0))
+        return max(1, min(MAX_BATCH, fit))
 
     def add(self, pending: PendingRequest) -> bool:
         """File one admitted request into its bucket.
@@ -254,8 +211,8 @@ class BatchPlanner:
         no cap recomputed per arrival.
         """
         size = pending.n
-        if self.pad_buckets and size > 1:
-            size = 1 << (size - 1).bit_length()
+        if size > 1:
+            size = 1 << (size - 1).bit_length()  # next power of two
         sparse = pending.sparse
         bucket = self._buckets.get((sparse, size))
         if bucket is None:
@@ -266,8 +223,8 @@ class BatchPlanner:
         # unit-wise form of ``count >= _units_cap(units, count)`` (one
         # more coalesced flush is paid for), saving the division on
         # every arrival
-        return (bucket.units >= self.coalesce_units
-                or len(bucket.members) >= self.max_batch)
+        return (bucket.units >= COALESCE_UNITS
+                or len(bucket.members) >= MAX_BATCH)
 
     def queued_count(self) -> int:
         return self._queued
@@ -304,38 +261,7 @@ class BatchPlanner:
         self._queued -= len(expired)
         return expired
 
-    # -- estimates and engine choice ---------------------------------
-    def estimate_batch_seconds(self, key: BucketKey, occupancy: int,
-                               mean_m: float) -> float:
-        """Estimated wall seconds to serve one flush of this bucket: the
-        union's ``n + 2m`` units of contraction plus one call's fixed
-        overhead."""
-        if key.size == 0:
-            return 0.0
-        units = max(occupancy, 1) * (key.size + 2 * max(mean_m, 0.0))
-        return (units * self.model.contracting_unit
-                + self.model.request_overhead)
-
-    def choose_batch_engine(self, key: BucketKey, occupancy: int,
-                            mean_m: float) -> str:
-        """Engine for one flush: ``"contracting"`` over the members'
-        disjoint union when there is more than one member, else the
-        dispatcher's rule table for the single request."""
-        if key.size == 0:
-            return "vectorized"  # degenerate; resolved without an engine
-        if occupancy > 1:
-            return "contracting"
-        return choose_engine(key.size, max(int(mean_m), 0), model=self.model)
-
     # -- flush policy --------------------------------------------------
-    def _pressure(self, bucket: Bucket, now: float, cap: int) -> bool:
-        if bucket.min_deadline == float("inf"):
-            return False
-        occupancy = min(len(bucket.members), cap)
-        mean_m = sample_mean_m(bucket.members)
-        est = self.estimate_batch_seconds(bucket.key, occupancy, mean_m)
-        return bucket.min_deadline - now <= est + self.deadline_margin
-
     def _most_urgent_ready(
         self, now: float, force: bool
     ) -> Optional[Tuple[Tuple[bool, int], Bucket, int]]:
@@ -348,7 +274,7 @@ class BatchPlanner:
                 force
                 or len(bucket.members) >= cap
                 or now - bucket.oldest >= self.max_wait
-                or self._pressure(bucket, now, cap)
+                or bucket.min_deadline != float("inf")
             )
             if ready and (best is None or (bucket.min_deadline, bucket.oldest)
                           < (best[1].min_deadline, best[1].oldest)):
@@ -367,9 +293,10 @@ class BatchPlanner:
         unbounded; an idle worker asks for 1), each from the most urgent
         ready bucket (tightest deadline, then oldest member).  A bucket
         is ready when full, when its oldest member has been held
-        ``max_wait`` (at once by default), or under deadline pressure;
-        members are packed most-urgent-first when the bucket overflows
-        its cap.  ``force=True`` (drain) makes every bucket ready.
+        ``max_wait`` (at once by default), or when it holds a member with
+        a deadline; members are packed most-urgent-first when the bucket
+        overflows its cap.  ``force=True`` (drain) makes every bucket
+        ready.
 
         This runs on every worker wake-up: the no-flush path must stay
         O(buckets), using only the cached bucket aggregates.
@@ -395,17 +322,16 @@ class BatchPlanner:
         return flushes
 
     def next_due(self, now: Optional[float] = None) -> Optional[float]:
-        """Seconds until the earliest time-based flush trigger, or
-        ``None`` when nothing is queued: an idle worker then waits for
-        an arrival instead of polling."""
+        """Seconds until the earliest time-based flush trigger (0 when a
+        bucket holds a member with a deadline), or ``None`` when nothing
+        is queued: an idle worker then waits for an arrival instead of
+        polling."""
         now = time.monotonic() if now is None else now
         due = None
         for bucket in self._buckets.values():
-            window = self.max_wait - (now - bucket.oldest)
             if bucket.min_deadline != float("inf"):
-                window = min(
-                    window, bucket.min_deadline - now - self.deadline_margin
-                )
+                return 0.0
+            window = self.max_wait - (now - bucket.oldest)
             due = window if due is None else min(due, window)
         if due is None:
             return None

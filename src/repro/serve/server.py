@@ -22,20 +22,21 @@ Lifecycle of one request:
    into size/kind buckets by the
    :class:`~repro.serve.scheduler.BatchPlanner`.  Each idle worker
    thread takes the most urgent ready flush from the planner itself --
-   at once by default, or when a bucket fills, comes under deadline
-   pressure or has been held an opt-in ``max_wait``; until then it
+   at once by default, or when a bucket fills, holds a request with a
+   deadline or has been held an opt-in ``max_wait``; until then it
    waits for an arrival or the planner's next due time.  While every
    worker is busy, requests stay in the planner and keep coalescing, so
    a batch forms from whatever arrived during the previous one.
 3. **Execution** (the same worker thread).  A flushed batch of more than one
    member runs as one coalesced contracting solve over the members'
    disjoint union; a single request runs the engine the dispatcher's
-   rule table picks.  The engines release the GIL inside NumPy, so the
-   worker threads share one address space and copy nothing.  Expired
-   and cancelled members are resolved without touching an engine.
-   Engine failures are retried (``retries``) before resolving
-   ``ERROR``; any other fault in a batch resolves its unresolved
-   members ``ERROR`` and the worker goes on serving.
+   rule table picks for it, as ``engine="auto"`` would.  The engines
+   release the GIL inside NumPy, so the worker threads share one
+   address space and copy nothing.  Expired and cancelled members are
+   resolved without touching an engine.  An engine failure is retried
+   once (:data:`RETRIES`) before resolving ``ERROR``; any other fault
+   in a batch resolves its unresolved members ``ERROR`` and the worker
+   goes on serving.
 4. **Resolution.**  The request's
    :class:`~repro.serve.request.ResultHandle` receives its
    :class:`~repro.serve.request.CCResponse`; the metrics layer records
@@ -58,7 +59,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dispatch import CostModel, DEFAULT_COST_MODEL, choose_engine
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.hirschberg.edgelist import EdgeListGraph
 from repro.serve.cache import ResultCache, graph_fingerprint
@@ -72,17 +72,16 @@ from repro.serve.request import (
     ResultHandle,
     ServerClosed,
 )
-from repro.serve.scheduler import (
-    BatchPlanner,
-    PendingRequest,
-    sample_mean_m,
-)
+from repro.serve.scheduler import BatchPlanner, PendingRequest, flush_engine
 from repro.serve.workers import solve_coalesced, solve_solo
 # Unused here; perfbench/serve_wire.py still wraps this module attribute.
 from repro.serve.workers import solve_dense_stack  # noqa: F401
 
 #: Admission (backpressure) policies.
 ADMISSION_POLICIES = ("block", "shed", "fail")
+
+#: Re-execution attempts after an engine failure.
+RETRIES = 1
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,10 @@ class ServerConfig:
     admission:
         ``"block"`` (default), ``"shed"`` or ``"fail"`` -- see module
         docstring.
-    max_batch:
-        Hard batch-occupancy cap (``coalesce_units`` may cap lower).
     max_wait:
         Opt-in minimum hold in seconds before a bucket that is neither
-        full nor under deadline pressure flushes.  The default 0
-        dispatches as soon as a worker is free.
+        full nor holding a request with a deadline flushes.  The
+        default 0 dispatches as soon as a worker is free.
     workers:
         Worker threads executing batches (the contracting kernels
         release the GIL inside NumPy).  Each runs one batch at a time,
@@ -114,21 +111,6 @@ class ServerConfig:
     default_deadline:
         Deadline applied to requests submitted without one (``None`` =
         unbounded).
-    deadline_margin:
-        Safety margin (seconds) for the planner's deadline-pressure
-        flush test.
-    retries:
-        Re-execution attempts after an engine failure.
-    pad_buckets:
-        Pad node counts to power-of-two buckets so near-miss sizes
-        batch together.
-    coalesce_units:
-        Work budget (``n + 2m`` summed over members) for one coalesced
-        flush; tuned to the knee past which a bigger disjoint
-        union costs more per member than it amortises.
-    cost_model:
-        Explicit :class:`~repro.core.dispatch.CostModel` override
-        (default: the shipped constants).
     cache_bytes:
         Byte budget of the content-addressed
         :class:`~repro.serve.cache.ResultCache` (0 = caching off).
@@ -141,15 +123,9 @@ class ServerConfig:
 
     max_queue: int = 1024
     admission: str = "block"
-    max_batch: int = 512
     max_wait: float = 0.0
     workers: int = 2
     default_deadline: Optional[float] = None
-    deadline_margin: float = 0.005
-    retries: int = 1
-    pad_buckets: bool = True
-    coalesce_units: int = 32_768
-    cost_model: Optional[CostModel] = None
     cache_bytes: int = 0
     cache_verify: bool = False
 
@@ -163,8 +139,6 @@ class ServerConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.cache_bytes < 0:
             raise ValueError(
                 f"cache_bytes must be >= 0, got {self.cache_bytes}"
@@ -184,16 +158,8 @@ class Server:
         elif overrides:
             config = replace(config, **overrides)
         self.config = config
-        self.cost_model = config.cost_model or DEFAULT_COST_MODEL
         self.metrics = ServeMetrics()
-        self._planner = BatchPlanner(
-            max_batch=config.max_batch,
-            max_wait=config.max_wait,
-            deadline_margin=config.deadline_margin,
-            pad_buckets=config.pad_buckets,
-            coalesce_units=config.coalesce_units,
-            model=self.cost_model,
-        )
+        self._planner = BatchPlanner(max_wait=config.max_wait)
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
         self._space_cv = threading.Condition(self._lock)
@@ -366,7 +332,7 @@ class Server:
             # Wake an idle worker only when none would otherwise come:
             # the queue was empty (idle workers may be in an unbounded
             # wait), this arrival filled a bucket to its cap, or it
-            # carries a deadline that may tighten the next flush time.
+            # carries a deadline, which makes its bucket ready at once.
             # Anything else joins a queue some worker will take from
             # anyway -- one already woken for it, one whose hold times
             # out, or a busy one when its batch finishes -- and a
@@ -582,12 +548,9 @@ class Server:
                    started: float) -> None:
         for pending in runnable:
             pending.attempts += 1
-        occupancy = len(runnable)
-        self.metrics.record_batch(occupancy)
-        key = self._planner.key_for(runnable[0])
-        mean_m = sample_mean_m(runnable)
-        engine = self._planner.choose_batch_engine(key, occupancy, mean_m)
-        if occupancy > 1 and engine == "contracting":
+        self.metrics.record_batch(len(runnable))
+        engine = flush_engine(runnable)
+        if len(runnable) > 1 and engine == "contracting":
             graphs = [p.request.graph for p in runnable]
             try:
                 labels = solve_coalesced(graphs, engine)
@@ -601,9 +564,6 @@ class Server:
         for pending in runnable:
             self._run_solo(pending, started, engine=engine)
 
-    def _solo_engine(self, pending: PendingRequest) -> str:
-        return choose_engine(pending.n, pending.m, model=self.cost_model)
-
     def _run_solo(
         self,
         pending: PendingRequest,
@@ -611,24 +571,17 @@ class Server:
         engine: Optional[str] = None,
         batch_error: Optional[Exception] = None,
     ) -> None:
-        """Execute one request solo, retrying per the configuration.
+        """Execute one request solo, with up to :data:`RETRIES`
+        re-executions after an engine failure.
 
         ``batch_error`` marks a member that already failed once inside a
-        stacked batch: the solo run *is* its retry, so a request only
-        gets here with budget left (or resolves ``ERROR`` right away).
+        coalesced batch: the solo run *is* its retry.
         """
-        attempts_left = self.config.retries + 1 - (1 if batch_error else 0)
         if batch_error is not None:
-            if attempts_left <= 0:
-                self._resolve(
-                    pending, RequestStatus.ERROR,
-                    error=f"batched execution failed: {batch_error}",
-                )
-                return
             self.metrics.record_retry()
-        engine = engine or self._solo_engine(pending)
+        engine = engine or flush_engine([pending])
         last_error: Optional[Exception] = batch_error
-        for attempt in range(max(attempts_left, 1)):
+        for attempt in range(RETRIES + 1 - (1 if batch_error else 0)):
             if attempt > 0:
                 self.metrics.record_retry()
                 pending.attempts += 1

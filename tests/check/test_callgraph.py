@@ -42,28 +42,6 @@ def test_summary_records_calls_and_dispositions():
     assert by_token["plain"].bare
 
 
-def test_summary_roundtrips_through_json():
-    s = _summary("m.py", (
-        "import threading\n"
-        "from queue import Queue\n"
-        "_lock = threading.Lock()\n"
-        "_aux_lock = threading.Lock()\n"
-        "def f(conn):\n"
-        "    with _lock:\n"
-        "        with _aux_lock:\n"
-        "            return conn.fileno()\n"
-    ))
-    clone = ModuleSummary.from_json(s.to_json())
-    assert clone.module == s.module
-    assert set(clone.functions) == set(s.functions)
-    orig = s.functions["f"].lock_orders
-    back = clone.functions["f"].lock_orders
-    assert [(o.held, o.acquired) for o in orig] == [
-        (o.held, o.acquired) for o in back
-    ]
-    assert orig  # the nested acquisition produced an edge
-
-
 def test_index_resolves_from_import_and_alias():
     a = _summary("pkg/a.py", "def helper():\n    return 1\n")
     a.module = "pkg.a"

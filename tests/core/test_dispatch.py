@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.api as api
 from repro.core.api import _probed_cost_model, connected_components
 from repro.core.dispatch import (
     DISPATCHABLE,
@@ -21,7 +22,8 @@ from repro.graphs.components import canonical_labels, components_union_find
 from repro.graphs.generators import complete_graph, random_graph
 from repro.graphs.union_find import UnionFind
 from repro.hirschberg.edgelist import random_edge_list
-from repro.serve.scheduler import BatchPlanner, BucketKey
+from repro.serve.request import CCRequest, ResultHandle
+from repro.serve.scheduler import PendingRequest, flush_engine
 
 
 def _oracle_sparse(g) -> np.ndarray:
@@ -273,13 +275,18 @@ class TestDispatchSet:
         assert choose_engine(n, m, model=model) in rule_table
         doc = explain_choice(n, m, model=model)
         assert set(doc["predicted_seconds"]) == {doc["choice"]} <= rule_table
-        planner = BatchPlanner(model=model)
-        for kind in ("sparse", "dense"):
-            engine = planner.choose_batch_engine(BucketKey(kind, n),
-                                                 batch_size, m)
-            assert engine in rule_table
-            if batch_size > 1:
-                assert engine == "contracting"
+        pending = PendingRequest(
+            handle=ResultHandle(CCRequest(graph=random_edge_list(2, 1))),
+            n=n, sparse=True, submitted_at=0.0, deadline_at=None, m_known=m,
+        )
+        saved, api._PROBED_MODEL = api._PROBED_MODEL, model
+        try:
+            engine = flush_engine([pending] * batch_size)
+        finally:
+            api._PROBED_MODEL = saved
+        assert engine in rule_table
+        if batch_size > 1:
+            assert engine == "contracting"
 
     def test_auto_contracts_a_big_sparse_graph(self):
         """The graph size where the parallel engine used to win the

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.hirschberg.edgelist import random_edge_list
+import repro.serve.gateway as gateway_module
 from repro.serve import protocol
 from repro.serve.gateway import Gateway, GatewayConfig, GatewayHandle
 from repro.serve.loadgen import (
@@ -557,6 +558,34 @@ class TestHalfCloseAndTruncation:
         _read_to_eof(sock)  # the gateway closes once it has counted
         sock.close()
         assert _errors(server) == before + 1
+
+    @pytest.mark.parametrize("dialect", ["json", "http"])
+    def test_past_the_stream_limit_answers_bad_frame(self, server, dialect,
+                                                     monkeypatch):
+        """A JSON line or HTTP header block longer than the stream limit
+        is answered once, counted once, and the connection closes."""
+        monkeypatch.setattr(gateway_module, "_STREAM_LIMIT", 1024)
+        if dialect == "json":
+            edges = [[0, 1]] * 200  # a 1.6 KB line
+            data = json.dumps({"id": 1, "n": 4, "edges": edges}).encode()
+            data += b"\n"
+        else:
+            data = (b"POST /solve HTTP/1.1\r\nX-Pad: " + b"a" * 1500
+                    + b"\r\n\r\n")
+        with GatewayHandle(server) as gw:
+            before = _errors(server)
+            sock = socket.create_connection(gw.address)
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            answer = _read_to_eof(sock)
+            sock.close()
+            assert _errors(server) == before + 1
+        if dialect == "http":
+            head, _, answer = answer.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+        assert answer.count(b"\n") == 1  # one answer, then EOF
+        doc = json.loads(answer)
+        assert doc["id"] is None and doc["status"] == "bad_frame"
 
     def test_clean_eof_between_frames_is_not_an_error(self, server,
                                                       gateway):

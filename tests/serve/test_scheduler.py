@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.core.api as api
+import repro.serve.scheduler as scheduler
 from repro.core.dispatch import CostModel
 from repro.hirschberg.edgelist import random_edge_list
 from repro.serve.request import CCRequest, ResultHandle
@@ -10,7 +12,7 @@ from repro.serve.scheduler import (
     BatchPlanner,
     BucketKey,
     PendingRequest,
-    sample_mean_m,
+    flush_engine,
 )
 
 
@@ -24,6 +26,26 @@ def _pending(n=8, sparse=True, m=16, submitted_at=0.0, deadline_at=None,
         handle=handle, n=n, sparse=sparse, submitted_at=submitted_at,
         deadline_at=deadline_at, m_known=m if sparse else None,
     )
+
+
+@pytest.fixture()
+def units80(monkeypatch):
+    """A flush holds 80 units: two n = 8, m = 16 members."""
+    monkeypatch.setattr(scheduler, "COALESCE_UNITS", 80)
+
+
+def _key(pending):
+    planner = BatchPlanner()
+    planner.add(pending)
+    (bucket,) = planner._buckets.values()
+    return bucket.key
+
+
+def _flush_sizes(members):
+    planner = BatchPlanner()
+    for p in members:
+        planner.add(p)
+    return [len(b) for b in planner.take_ready(force=True)]
 
 
 class TestPendingRequest:
@@ -48,61 +70,40 @@ class TestPendingRequest:
         assert tight.sort_key(0.0) < loose.sort_key(0.0)
 
 
-class TestSampleMeanM:
-    def test_empty(self):
-        assert sample_mean_m([]) == 0.0
-
-    def test_small_list_exact(self):
-        members = [_pending(m=10), _pending(m=30)]
-        assert sample_mean_m(members) == pytest.approx(20.0)
-
-    def test_large_list_samples_at_most_k(self):
-        members = [_pending(m=7) for _ in range(100)]
-        assert sample_mean_m(members, k=4) == pytest.approx(7.0)
-
-
 class TestBucketing:
     def test_dense_padded_to_power_of_two(self):
-        planner = BatchPlanner(pad_buckets=True)
-        key = planner.key_for(_pending(n=12, sparse=False))
-        assert key == BucketKey("dense", 16)
-
-    def test_dense_unpadded(self):
-        planner = BatchPlanner(pad_buckets=False)
-        assert planner.key_for(_pending(n=12, sparse=False)).size == 12
+        assert _key(_pending(n=12, sparse=False)) == BucketKey("dense", 16)
 
     def test_padding_preserves_exact_powers(self):
-        planner = BatchPlanner(pad_buckets=True)
-        assert planner.key_for(_pending(n=16, sparse=False)).size == 16
+        assert _key(_pending(n=16, sparse=False)).size == 16
 
     def test_sparse_and_dense_never_share_buckets(self):
         planner = BatchPlanner()
-        sparse_key = planner.key_for(_pending(n=8, sparse=True))
-        dense_key = planner.key_for(_pending(n=8, sparse=False))
-        assert sparse_key != dense_key
+        planner.add(_pending(n=8, sparse=True))
+        planner.add(_pending(n=8, sparse=False))
+        keys = {b.key for b in planner._buckets.values()}
+        assert keys == {BucketKey("sparse", 8), BucketKey("dense", 8)}
 
-    def test_sparse_cap_respects_coalesce_units(self):
-        planner = BatchPlanner(coalesce_units=100)
+    def test_sparse_cap_respects_coalesce_units(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "COALESCE_UNITS", 100)
         members = [_pending(n=8, m=16) for _ in range(10)]  # 40 units each
-        cap = planner.bucket_cap(BucketKey("sparse", 8), members)
-        assert cap == 2  # 100 // 40
+        assert _flush_sizes(members) == [2] * 5  # 100 // 40
 
-    def test_sparse_cap_never_below_one(self):
-        planner = BatchPlanner(coalesce_units=1)
-        members = [_pending(n=1000, m=2000)]
-        assert planner.bucket_cap(BucketKey("sparse", 1000), members) == 1
+    def test_sparse_cap_never_below_one(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "COALESCE_UNITS", 1)
+        assert _flush_sizes([_pending(n=1000, m=2000)] * 2) == [1, 1]
 
-    def test_dense_cap_respects_coalesce_units(self):
-        planner = BatchPlanner(coalesce_units=1_000)
+    def test_dense_cap_respects_coalesce_units(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "COALESCE_UNITS", 1_000)
         g = np.zeros((16, 16), dtype=np.int8)
         g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = 1  # 16 + 2 * 2 units
-        members = [_pending(n=16, sparse=False, graph=g) for _ in range(9)]
-        assert planner.bucket_cap(BucketKey("dense", 16), members) == 50
+        members = [_pending(n=16, sparse=False, graph=g) for _ in range(60)]
+        assert _flush_sizes(members) == [50, 10]
 
-    def test_max_batch_clamps(self):
-        planner = BatchPlanner(max_batch=3)
+    def test_max_batch_clamps(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_BATCH", 3)
         members = [_pending(n=2, m=1) for _ in range(10)]
-        assert planner.bucket_cap(BucketKey("sparse", 2), members) <= 3
+        assert _flush_sizes(members) == [3, 3, 3, 1]
 
 
 class TestFlushTriggers:
@@ -119,8 +120,8 @@ class TestFlushTriggers:
         assert [len(b) for b in flushes] == [1]
         assert planner.queued_count() == 0
 
-    def test_full_bucket_flushes_immediately(self):
-        planner = BatchPlanner(max_wait=10.0, coalesce_units=80)
+    def test_full_bucket_flushes_immediately(self, units80):
+        planner = BatchPlanner(max_wait=10.0)
         # 40 units each -> cap 2
         assert not planner.add(_pending(n=8, m=16, submitted_at=100.0))
         assert planner.add(_pending(n=8, m=16, submitted_at=100.0))
@@ -128,25 +129,22 @@ class TestFlushTriggers:
         assert [len(b) for b in flushes] == [2]
 
     def test_deadline_pressure_flushes_early(self):
-        planner = BatchPlanner(max_wait=10.0, deadline_margin=0.005)
+        planner = BatchPlanner(max_wait=10.0)
         planner.add(_pending(submitted_at=100.0, deadline_at=100.004))
         # window far from closing, but the deadline is about to pass
         flushes = planner.take_ready(now=100.0)
         assert [len(b) for b in flushes] == [1]
 
-    def test_deadline_pressure_separates_tiny_from_large(self):
-        """The same 10 ms of slack is plenty for a tiny graph but not
-        for 900k units of contraction."""
-        planner = BatchPlanner(max_wait=10.0, deadline_margin=0.0)
-        tiny = _pending(n=8, m=16, submitted_at=100.0, deadline_at=100.01)
-        planner.add(tiny)
-        assert planner.take_ready(now=100.0) == []
-        large = _pending(n=100_000, m=400_000, submitted_at=100.0,
-                         deadline_at=100.01,
-                         graph=random_edge_list(8, 16, seed=0))
-        planner.add(large)
-        assert planner.take_ready(now=100.0) == [[large]]
-        assert planner.queued_count() == 1
+    def test_a_member_with_a_deadline_is_not_held(self):
+        """Under an opt-in hold, a bucket holding a member with a
+        deadline is ready at once, however far away the deadline is."""
+        planner = BatchPlanner(max_wait=10.0)
+        planner.add(_pending(submitted_at=100.0))
+        assert planner.next_due(now=100.0) == pytest.approx(10.0)
+        planner.add(_pending(submitted_at=100.0, deadline_at=101.0))
+        assert planner.next_due(now=100.0) == 0.0
+        flushes = planner.take_ready(now=100.0)
+        assert [len(b) for b in flushes] == [2]
 
     def test_force_flushes_everything(self):
         planner = BatchPlanner(max_wait=10.0)
@@ -156,8 +154,8 @@ class TestFlushTriggers:
         assert sum(len(b) for b in flushes) == 3
         assert planner.queued_count() == 0
 
-    def test_urgent_members_packed_first_on_overflow(self):
-        planner = BatchPlanner(max_wait=10.0, coalesce_units=80)
+    def test_urgent_members_packed_first_on_overflow(self, units80):
+        planner = BatchPlanner(max_wait=10.0)
         loose = _pending(n=8, m=16, submitted_at=100.0, deadline_at=200.0)
         tight = _pending(n=8, m=16, submitted_at=100.0, deadline_at=101.0)
         mid = _pending(n=8, m=16, submitted_at=100.0, deadline_at=150.0)
@@ -176,8 +174,8 @@ class TestFlushTriggers:
         flushes = planner.take_ready(now=200.0)
         assert flushes[0][0] is a  # arrival order preserved
 
-    def test_remainder_requeued_when_not_timed_out(self):
-        planner = BatchPlanner(max_wait=10.0, coalesce_units=80)
+    def test_remainder_requeued_when_not_timed_out(self, units80):
+        planner = BatchPlanner(max_wait=10.0)
         for _ in range(3):  # cap 2: one full flush + 1 leftover
             planner.add(_pending(n=8, m=16, submitted_at=100.0))
         flushes = planner.take_ready(now=100.0)
@@ -203,8 +201,8 @@ class TestWorkConserving:
         planner.add(_pending(submitted_at=100.0))
         assert [len(b) for b in planner.take_ready(now=100.0, free=1)] == [1]
 
-    def test_no_free_worker_returns_nothing(self):
-        planner = BatchPlanner(coalesce_units=80)
+    def test_no_free_worker_returns_nothing(self, units80):
+        planner = BatchPlanner()
         for _ in range(3):  # full bucket, and past any window
             planner.add(_pending(n=8, m=16, submitted_at=100.0))
         assert planner.take_ready(now=200.0, free=0) == []
@@ -230,18 +228,18 @@ class TestWorkConserving:
         assert planner.take_ready(now=103.0, free=1) == [[older]]
         assert planner.take_ready(now=103.0, free=1) == [[newer]]
 
-    def test_free_caps_the_flush_count(self):
-        planner = BatchPlanner(coalesce_units=80)
+    def test_free_caps_the_flush_count(self, units80):
+        planner = BatchPlanner()
         for _ in range(5):  # cap 2: three flushes' worth
             planner.add(_pending(n=8, m=16, submitted_at=100.0))
         flushes = planner.take_ready(now=100.0, free=2)
         assert [len(b) for b in flushes] == [2, 2]
         assert planner.queued_count() == 1
 
-    def test_force_respects_free(self):
+    def test_force_respects_free(self, units80):
         # a draining worker takes one flush at a time; the other
         # workers drain the rest in parallel
-        planner = BatchPlanner(coalesce_units=80)
+        planner = BatchPlanner()
         for _ in range(5):  # cap 2: three flushes' worth
             planner.add(_pending(n=8, m=16, submitted_at=100.0))
         flushes = planner.take_ready(now=100.0, force=True, free=1)
@@ -274,9 +272,9 @@ class TestNextDue:
         assert planner.next_due(now=100.1) == pytest.approx(0.4)
 
     def test_deadline_tightens_due(self):
-        planner = BatchPlanner(max_wait=10.0, deadline_margin=0.0)
+        planner = BatchPlanner(max_wait=10.0)
         planner.add(_pending(submitted_at=100.0, deadline_at=100.25))
-        assert planner.next_due(now=100.0) == pytest.approx(0.25)
+        assert planner.next_due(now=100.0) == 0.0
 
     def test_never_negative(self):
         planner = BatchPlanner(max_wait=0.001)
@@ -286,63 +284,40 @@ class TestNextDue:
 
 class TestEngineChoice:
     def test_degenerate_size_zero(self):
-        planner = BatchPlanner()
-        assert planner.choose_batch_engine(BucketKey("dense", 0), 4, 0) == (
-            "vectorized"
-        )
+        empty = _pending(n=0, sparse=False)
+        assert flush_engine([empty] * 4) == "vectorized"
 
     def test_sparse_batch_coalesces_on_contracting(self):
-        planner = BatchPlanner()
-        engine = planner.choose_batch_engine(BucketKey("sparse", 8), 64, 16)
-        assert engine == "contracting"
+        assert flush_engine([_pending(n=8, m=16)] * 64) == "contracting"
 
     def test_sparse_solo_offers_sparse_engines(self):
-        planner = BatchPlanner()
-        engine = planner.choose_batch_engine(BucketKey("sparse", 8), 1, 16)
-        assert engine == "contracting"
+        assert flush_engine([_pending(n=8, m=16)]) == "contracting"
 
     def test_dense_batch_prefers_a_batching_strategy(self):
-        planner = BatchPlanner()
-        engine = planner.choose_batch_engine(BucketKey("dense", 16), 32, 24)
         # the coalesced union, never the stacked field or solo runs
-        assert engine == "contracting"
+        members = [_pending(n=16, sparse=False)] * 32
+        assert flush_engine(members) == "contracting"
 
     def test_dense_batch_coalesces_at_any_size(self):
-        planner = BatchPlanner()
         for size in (8, 128, 1024):
-            full = size * (size - 1) / 2
-            assert planner.choose_batch_engine(
-                BucketKey("dense", size), 2, full) == "contracting"
+            g = np.ones((size, size), dtype=np.int8)
+            np.fill_diagonal(g, 0)
+            members = [_pending(n=size, sparse=False, graph=g)] * 2
+            assert flush_engine(members) == "contracting"
 
-    def test_solo_request_follows_the_rule_table(self):
-        tight = CostModel(memory_budget=1e6)
-        planner = BatchPlanner(model=tight)
-        assert planner.choose_batch_engine(
-            BucketKey("sparse", 100_000), 1, 400_000) == "sharded"
-        assert planner.choose_batch_engine(
-            BucketKey("sparse", 100_000), 2, 400_000) == "contracting"
-
-    def test_estimate_scales_with_occupancy(self):
-        planner = BatchPlanner()
-        key = BucketKey("sparse", 8)
-        one = planner.estimate_batch_seconds(key, 1, 16)
-        many = planner.estimate_batch_seconds(key, 64, 16)
-        assert many > one
-        assert many < one * 64  # amortisation: far below linear
+    def test_solo_request_follows_the_rule_table(self, monkeypatch):
+        monkeypatch.setattr(api, "_PROBED_MODEL",
+                            CostModel(memory_budget=1e6))
+        big = _pending(n=100_000, m=400_000,
+                       graph=random_edge_list(8, 16, seed=0))
+        assert flush_engine([big]) == "sharded"
+        assert flush_engine([big, big]) == "contracting"
 
 
 class TestValidation:
-    def test_bad_max_batch(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            BatchPlanner(max_batch=0)
-
     def test_bad_max_wait(self):
         with pytest.raises(ValueError, match="max_wait"):
             BatchPlanner(max_wait=-1.0)
-
-    def test_bad_coalesce_units(self):
-        with pytest.raises(ValueError, match="coalesce_units"):
-            BatchPlanner(coalesce_units=0)
 
 
 class TestTakeExpired:

@@ -7,7 +7,10 @@ import time
 import numpy as np
 import pytest
 
+import repro.core.api as api
+import repro.serve.scheduler as scheduler
 import repro.serve.server as server_module
+from repro.core.dispatch import CostModel
 from repro.graphs.components import components_union_find
 from repro.graphs.generators import random_graph
 from repro.graphs.union_find import UnionFind
@@ -106,12 +109,13 @@ class TestCorrectness:
             assert resp.batch_size == len(graphs)
             assert np.array_equal(resp.labels, _oracle(g))
 
-    def test_dense_flushes_respect_coalesce_units(self):
+    def test_dense_flushes_respect_coalesce_units(self, monkeypatch):
         """Dense edges are counted at submission, so a dense flush is
         capped by ``n + 2m`` like a sparse one."""
         graphs = [random_graph(16, 1.0, seed=s) for s in range(6)]
         # 16 + 2 * 120 = 256 units each -> two members per flush
-        config = _quick_config(max_wait=0.5, coalesce_units=512)
+        monkeypatch.setattr(scheduler, "COALESCE_UNITS", 512)
+        config = _quick_config(max_wait=0.5)
         responses = serve_many(graphs, config=config)
         assert [r.batch_size for r in responses] == [2] * 6
         for g, resp in zip(graphs, responses):
@@ -159,6 +163,30 @@ class TestCorrectness:
         responses = serve_many(graphs, config=_quick_config())
         assert max(r.batch_size for r in responses) > 1
         assert all(r.engine is not None for r in responses)
+
+
+class TestSoloEngine:
+    def test_a_single_request_follows_the_probed_model(self, monkeypatch):
+        """A lone request's engine comes from the rule table on its own
+        ``(n, m)`` under the model ``engine="auto"`` uses, not the
+        shipped default budget."""
+        tiny = CostModel(memory_budget=1.0)
+        monkeypatch.setattr(api, "_PROBED_MODEL", tiny)
+        calls = []
+        real = scheduler.choose_engine
+
+        def spy(n, m, model=None, **kwargs):
+            calls.append((n, m, model))
+            return real(n, m, model=model, **kwargs)
+
+        monkeypatch.setattr(scheduler, "choose_engine", spy)
+        g = random_edge_list(50, 70, seed=4)
+        with Server(_quick_config()) as server:
+            resp = server.submit(g).response(timeout=30.0)
+        assert calls == [(50, g.edge_count, tiny)]
+        assert resp.status is RequestStatus.OK
+        assert resp.engine == "sharded"
+        assert np.array_equal(resp.labels, _oracle(g))
 
 
 class TestBackpressure:
@@ -382,14 +410,14 @@ class TestWorkConservingFlush:
 
 
 class TestFaults:
-    def test_fault_outside_the_engines_resolves_error(self):
+    def test_fault_outside_the_engines_resolves_error(self, monkeypatch):
         """A fault that escapes the engines' retry path (here the
         planner's engine choice) resolves the batch ``ERROR`` within a
         bounded time, and the only worker goes on serving."""
         g = random_edge_list(8, 16, seed=0)
         server = Server(_quick_config()).start()
         try:
-            real_choose = server._planner.choose_batch_engine
+            real_choose = server_module.flush_engine
             calls = {"count": 0}
 
             def faulty_choose(*args, **kwargs):
@@ -398,7 +426,7 @@ class TestFaults:
                     raise RuntimeError("injected planner fault")
                 return real_choose(*args, **kwargs)
 
-            server._planner.choose_batch_engine = faulty_choose
+            monkeypatch.setattr(server_module, "flush_engine", faulty_choose)
             failed = server.submit(g).response(timeout=5.0)
             assert failed.status is RequestStatus.ERROR
             assert "injected planner fault" in failed.error
@@ -437,6 +465,17 @@ class TestDeadlines:
             handle = server.submit(random_edge_list(16, 32, seed=1))
             resp = handle.response(timeout=10.0)
         assert resp.status is RequestStatus.TIMEOUT
+
+    def test_a_request_with_a_deadline_is_not_held(self):
+        """An opt-in hold applies only to requests without a deadline:
+        one with a deadline, however generous, is dispatched at once."""
+        with Server(_quick_config(max_wait=2.0)) as server:
+            started = time.monotonic()
+            resp = server.submit(random_edge_list(8, 16, seed=0),
+                                 deadline=30.0).response(timeout=10.0)
+            elapsed = time.monotonic() - started
+        assert resp.status is RequestStatus.OK
+        assert elapsed < 1.0
 
     def test_generous_deadline_is_met(self):
         responses = serve_many(
@@ -538,7 +577,7 @@ class TestRetries:
 
         monkeypatch.setattr(server_module, "solve_solo", flaky)
         g = random_edge_list(8, 16, seed=0)
-        with Server(_quick_config(retries=1, coalesce_units=1)) as server:
+        with Server(_quick_config()) as server:
             resp = server.submit(g).response(timeout=10.0)
         assert resp.status is RequestStatus.OK
         assert resp.attempts == 2
@@ -550,7 +589,7 @@ class TestRetries:
             raise RuntimeError("permanent failure")
 
         monkeypatch.setattr(server_module, "solve_solo", broken)
-        with Server(_quick_config(retries=1, coalesce_units=1)) as server:
+        with Server(_quick_config()) as server:
             resp = server.submit(
                 random_edge_list(8, 16, seed=0)
             ).response(timeout=10.0)
@@ -564,7 +603,7 @@ class TestRetries:
         monkeypatch.setattr(server_module, "solve_coalesced",
                             broken_coalesce)
         graphs = [random_edge_list(8, 16, seed=s) for s in range(6)]
-        responses = serve_many(graphs, config=_quick_config(retries=1))
+        responses = serve_many(graphs, config=_quick_config())
         for g, resp in zip(graphs, responses):
             assert resp.status is RequestStatus.OK
             assert np.array_equal(resp.labels, _oracle(g))
